@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <random>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -260,6 +261,32 @@ TEST(StemmingTest, PrependsCollapseInSequences) {
   }
 }
 
+TEST(StemmingTest, TiesBreakOnRawValuesNotFirstSeenOrder) {
+  // Two disjoint groups with identical counts and lengths tie on every
+  // rank key; the pick must not depend on which group was seen first.
+  std::vector<Event> b_group;
+  std::vector<Event> a_group;
+  for (int i = 0; i < 3; ++i) {
+    b_group.push_back(MakeEvent("10.0.0.2", "10.1.0.2", {5, 6},
+                                ("70.0." + std::to_string(i) + ".0/24").c_str()));
+    a_group.push_back(MakeEvent("10.0.0.1", "10.1.0.1", {3, 4},
+                                ("80.0." + std::to_string(i) + ".0/24").c_str()));
+  }
+  std::vector<Event> b_first = b_group;
+  b_first.insert(b_first.end(), a_group.begin(), a_group.end());
+  std::vector<Event> a_first = a_group;
+  a_first.insert(a_first.end(), b_group.begin(), b_group.end());
+  for (const auto* events : {&b_first, &a_first}) {
+    const StemmingResult result = Stem(*events);
+    ASSERT_EQ(result.components.size(), 2u);
+    // Peer 10.0.0.1 has the smaller raw value, so its group ranks first.
+    EXPECT_EQ(result.SequenceLabel(result.components[0]),
+              "peer 10.0.0.1 nexthop 10.1.0.1 AS3 AS4");
+    EXPECT_EQ(result.SequenceLabel(result.components[1]),
+              "peer 10.0.0.2 nexthop 10.1.0.2 AS5 AS6");
+  }
+}
+
 TEST(SymbolTableTest, RoundTripsAllKinds) {
   SymbolTable table;
   const auto peer = table.InternPeer(Ipv4Addr(1, 2, 3, 4));
@@ -320,7 +347,7 @@ bool CountsEqual(double a, double b) {
 
 std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     const std::vector<EncodedEvent>& events, const std::vector<bool>& active,
-    double min_count) {
+    const SymbolTable& symbols, double min_count) {
   std::unordered_map<std::pair<SymbolId, SymbolId>, double, PairHash> bigrams;
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (!active[i]) continue;
@@ -371,7 +398,15 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
   }
 
   std::vector<SymbolId> best = *std::min_element(
-      last_survivors.begin(), last_survivors.end());
+      last_survivors.begin(), last_survivors.end(),
+      [&symbols](const std::vector<SymbolId>& a,
+                 const std::vector<SymbolId>& b) {
+        return std::lexicographical_compare(
+            a.begin(), a.end(), b.begin(), b.end(),
+            [&symbols](SymbolId x, SymbolId y) {
+              return symbols.Raw(x) < symbols.Raw(y);
+            });
+      });
   return std::make_pair(std::move(best), best_count);
 }
 
@@ -422,7 +457,7 @@ StemmingResult ReferenceStem(std::span<const bgp::Event> events,
     const double min_count =
         std::max(options.min_count,
                  options.min_count_fraction * result.total_weight);
-    auto top = TopSubsequence(encoded, active, min_count);
+    auto top = TopSubsequence(encoded, active, result.symbols, min_count);
     if (!top) break;
     auto& [sequence, count] = *top;
     if (sequence.size() < options.min_subsequence_length) break;
@@ -626,6 +661,85 @@ TEST_P(StemmingEquivalenceTest, WeightedCountsAreThreadCountInvariant) {
     pooled.pool = &pool;
     const StemmingResult actual = Stem(events, pooled);
     ExpectIdenticalResults(expected, actual);
+  }
+}
+
+std::vector<std::uint64_t> RawSequence(const StemmingResult& result,
+                                       const std::vector<SymbolId>& ids) {
+  std::vector<std::uint64_t> raw;
+  for (const SymbolId id : ids) raw.push_back(result.symbols.Raw(id));
+  return raw;
+}
+
+// Metamorphic: stemming is a function of the event multiset.  A full
+// shuffle of the window must yield the same components — compared by
+// raw symbol values, since a shuffle changes first-seen SymbolIds — with
+// every component claiming the permuted images of the same events.
+TEST_P(StemmingEquivalenceTest, ShuffledWindowYieldsRawIdenticalComponents) {
+  const std::vector<Event> events = GetParam()();
+  std::vector<std::size_t> perm(events.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  std::mt19937_64 rng(7);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  std::vector<Event> shuffled;
+  for (const std::size_t i : perm) shuffled.push_back(events[i]);
+
+  const StemmingResult a = Stem(events);
+  const StemmingResult b = Stem(shuffled);
+  ASSERT_FALSE(a.components.empty());
+  EXPECT_EQ(a.residual_events, b.residual_events);
+  ASSERT_EQ(a.components.size(), b.components.size());
+  for (std::size_t c = 0; c < a.components.size(); ++c) {
+    const Component& ca = a.components[c];
+    const Component& cb = b.components[c];
+    EXPECT_EQ(RawSequence(a, ca.top_sequence), RawSequence(b, cb.top_sequence))
+        << "component " << c;
+    EXPECT_EQ(a.symbols.Raw(ca.stem.first), b.symbols.Raw(cb.stem.first));
+    EXPECT_EQ(a.symbols.Raw(ca.stem.second), b.symbols.Raw(cb.stem.second));
+    EXPECT_EQ(ca.count, cb.count) << "component " << c;
+    EXPECT_EQ(ca.prefixes, cb.prefixes) << "component " << c;
+    EXPECT_EQ(ca.event_weight, cb.event_weight) << "component " << c;
+    std::vector<std::size_t> mapped;
+    for (const std::size_t i : cb.event_indices) mapped.push_back(perm[i]);
+    std::sort(mapped.begin(), mapped.end());
+    EXPECT_EQ(ca.event_indices, mapped) << "component " << c;
+  }
+}
+
+// Metamorphic: k copies of the window scale every count by k and keep
+// every stem (min_count scales with it, so the same components qualify).
+TEST_P(StemmingEquivalenceTest, KFoldDuplicationScalesCountsAndKeepsStems) {
+  const std::vector<Event> events = GetParam()();
+  constexpr std::size_t kFold = 3;
+  std::vector<Event> repeated;
+  for (std::size_t copy = 0; copy < kFold; ++copy) {
+    repeated.insert(repeated.end(), events.begin(), events.end());
+  }
+  const StemmingOptions once;
+  StemmingOptions folded;
+  folded.min_count = once.min_count * kFold;
+
+  const StemmingResult a = Stem(events, once);
+  const StemmingResult b = Stem(repeated, folded);
+  ASSERT_FALSE(a.components.empty());
+  EXPECT_EQ(a.residual_events * kFold, b.residual_events);
+  ASSERT_EQ(a.components.size(), b.components.size());
+  for (std::size_t c = 0; c < a.components.size(); ++c) {
+    const Component& ca = a.components[c];
+    const Component& cb = b.components[c];
+    EXPECT_EQ(RawSequence(a, ca.top_sequence), RawSequence(b, cb.top_sequence))
+        << "component " << c;
+    EXPECT_EQ(ca.count * kFold, cb.count) << "component " << c;
+    EXPECT_EQ(ca.event_weight * kFold, cb.event_weight) << "component " << c;
+    EXPECT_EQ(ca.prefixes, cb.prefixes) << "component " << c;
+    std::vector<std::size_t> expected;
+    for (std::size_t copy = 0; copy < kFold; ++copy) {
+      for (const std::size_t i : ca.event_indices) {
+        expected.push_back(i + copy * events.size());
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(expected, cb.event_indices) << "component " << c;
   }
 }
 
