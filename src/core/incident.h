@@ -25,6 +25,9 @@ enum class IncidentKind : std::uint8_t {
 
 const char* ToString(IncidentKind kind);
 
+// A stem's identity: its two symbols' raw tagged values.
+using StemKey = std::pair<std::uint64_t, std::uint64_t>;
+
 // Per-component evidence the classifier extracts from the events.
 struct IncidentEvidence {
   double withdraw_fraction = 0.0;   // withdrawals / events
@@ -54,7 +57,7 @@ struct Incident {
   // Stem identity as raw tagged symbol values (SymbolTable::Raw), stable
   // across windows with independent SymbolTables; dedup keys on this, not
   // on the formatted label.
-  std::pair<std::uint64_t, std::uint64_t> stem_key{0, 0};
+  StemKey stem_key{0, 0};
   std::string stem_label;       // "AS11423 - AS209"
   std::string top_sequence;     // full s' rendering
   IncidentEvidence evidence;

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "core/live_checkpoint.h"
 #include "obs/dashboard.h"
 #include "obs/trace.h"
+#include "stemming/window_stemmer.h"
 #include "util/log.h"
 #include "util/strings.h"
 
@@ -521,6 +523,22 @@ LiveStats LiveRunner::Run(
     }
   }
 
+  // The encoded analysis window, kept across ticks: each tick expires the
+  // evicted events and encodes only the drained ones.  A pure function of
+  // the window's events, so after a restore it is rebuilt from the
+  // restored window (no checkpoint section of its own).
+  stemming::WindowStemmer stemmer(pipeline_.options().stemming);
+  stemmer.PushBack(window);
+  // Stems the current window and builds incidents for the stems not yet
+  // reported (seen stems are skipped before their incident is built).
+  const auto analyze_window = [&]() -> std::vector<Incident> {
+    if (window.empty()) return {};
+    obs::TraceSpan span("pipeline.window");
+    span.Annotate("events", static_cast<std::uint64_t>(window.size()));
+    RANOMALY_METRIC_COUNT("pipeline_windows_total", 1);
+    return pipeline_.BuildIncidents(window, stemmer.Extract(), &seen_stems);
+  };
+
   // ---- Checkpoint cutting.  Snapshots are taken only at tick
   // boundaries, so a crash between them re-executes the partial tick
   // identically after restore.
@@ -771,6 +789,7 @@ LiveStats LiveRunner::Run(
     const auto evicted = keep_from - window.begin();
     window.erase(window.begin(), keep_from);
     window_idx.erase(window_idx.begin(), window_idx.begin() + evicted);
+    stemmer.PopFront(static_cast<std::size_t>(evicted));
     std::size_t drain = queue.size();
     if (backpressure && so.service_rate > 0) {
       drain = std::min(drain, so.service_rate);
@@ -779,6 +798,7 @@ LiveStats LiveRunner::Run(
                   std::make_move_iterator(queue.begin()),
                   std::make_move_iterator(queue.begin() +
                                           static_cast<std::ptrdiff_t>(drain)));
+    stemmer.PushBack(std::span<const bgp::Event>(window).last(drain));
     queue.erase(queue.begin(),
                 queue.begin() + static_cast<std::ptrdiff_t>(drain));
     window_idx.insert(window_idx.end(), queue_idx.begin(),
@@ -792,7 +812,7 @@ LiveStats LiveRunner::Run(
     const bool analyze_now =
         shed.level < 2 || final_tick || stats.ticks % 2 == 0;
     if (analyze_now) {
-      for (Incident& inc : pipeline_.AnalyzeWindow(window)) {
+      for (Incident& inc : analyze_window()) {
         if (!seen_stems.insert(inc.stem_key).second) continue;  // known
         inc.detected_at = tick_end;
         inc.detection_latency_sec = util::ToSeconds(tick_end - inc.begin);
@@ -822,10 +842,10 @@ LiveStats LiveRunner::Run(
         }
 #ifndef RANOMALY_NO_PROVENANCE
         if (provenance_ != nullptr) {
-          // Build the evidence record now, after the stem dedup:
-          // AnalyzeWindow re-derives every component each tick, so
-          // populating inside the pipeline would pay the string-heavy
-          // sampling for mostly already-seen incidents.  Then finish
+          // Build the evidence record now, after the stem dedup: the
+          // window is re-stemmed every tick, so populating inside the
+          // pipeline would pay the string-heavy sampling for mostly
+          // already-seen incidents.  Then finish
           // the window-relative record: key it to the log seq, rewrite
           // sampled event ids to stream indices (live windows never
           // contain markers, so component indices map 1:1 through

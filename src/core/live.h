@@ -7,8 +7,9 @@
 //
 // Determinism: every detection-latency input is *simulated* time — the
 // ingest tick is the (deterministic) batch boundary an event entered the
-// pipeline at, AnalyzeWindow is bit-identical for any thread count, and
-// incidents dedup on their stem key — so the
+// pipeline at, the sliding-window stemmer (stemming::WindowStemmer)
+// extracts exactly what a from-scratch stem of the window would, at any
+// thread count, and incidents dedup on their stem key — so the
 // incident_detection_latency_seconds buckets are bit-identical across
 // RANOMALY_THREADS settings.  Wall time appears only in pacing
 // (--pace-ms) and heartbeat metering, never in what gets detected or

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -33,6 +32,43 @@ Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
   options_.stemming.pool = pool_.get();
 }
 
+namespace {
+
+// Dense ids for 64-bit keys (never ~0) in first-seen order: a
+// linear-probing table kept at most half full for up to `capacity`
+// distinct keys.
+class DenseIds {
+ public:
+  explicit DenseIds(std::size_t capacity) {
+    std::size_t cap = 16;
+    while (cap < 2 * capacity) cap <<= 1;
+    keys_.assign(cap, kEmpty);
+    ids_.assign(cap, 0);
+    mask_ = cap - 1;
+  }
+
+  std::uint32_t Id(std::uint64_t key) {
+    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL >> 20) & mask_;
+    while (keys_[slot] != kEmpty && keys_[slot] != key) {
+      slot = (slot + 1) & mask_;
+    }
+    if (keys_[slot] == kEmpty) {
+      keys_[slot] = key;
+      ids_[slot] = size_++;
+    }
+    return ids_[slot];
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> ids_;
+  std::size_t mask_ = 0;
+  std::uint32_t size_ = 0;
+};
+
+}  // namespace
+
 IncidentEvidence Pipeline::ExtractEvidence(
     std::span<const bgp::Event> events,
     const stemming::Component& component) {
@@ -40,53 +76,67 @@ IncidentEvidence Pipeline::ExtractEvidence(
   if (component.event_indices.empty()) return ev;
 
   std::size_t withdraws = 0;
-  std::unordered_map<std::uint32_t, std::size_t> per_peer;
   bool med = false;
 
   // Per-prefix first and last observation, and cycle counts.  A
   // "transition" is an announce<->withdraw flip OR an announcement whose
   // nexthop differs from the previous one: at a route reflector with full
   // visibility an oscillation shows up as implicit replacements between
-  // alternatives, with few explicit withdrawals.
+  // alternatives, with few explicit withdrawals.  Paths are read through
+  // the first/last event indices rather than copied per event.
   struct PrefixTrack {
-    bool have_first = false;
-    bgp::AsPath first_path;
-    bgp::AsPath last_path;
+    std::size_t first = 0;  // event index of the first observation
+    std::size_t last = 0;   // event index of the latest observation
     bgp::EventType last_type = bgp::EventType::kAnnounce;
-    bgp::Ipv4Addr last_nexthop;
     std::size_t transitions = 0;
     std::size_t events = 0;
   };
-  std::map<bgp::Prefix, PrefixTrack> tracks;
+  // Tracks and per-peer counts are born in first-seen order.
+  const std::size_t n_events = component.event_indices.size();
+  DenseIds prefix_ids(n_events);
+  DenseIds peer_ids(n_events);
+  std::vector<bgp::Prefix> prefixes;  // per track
+  std::vector<PrefixTrack> tracks;
+  std::vector<std::size_t> per_peer;
 
   for (const std::size_t idx : component.event_indices) {
     const bgp::Event& e = events[idx];
     if (e.type == bgp::EventType::kWithdraw) ++withdraws;
-    ++per_peer[e.peer.value()];
+    const std::uint32_t peer = peer_ids.Id(e.peer.value());
+    if (peer == per_peer.size()) per_peer.push_back(0);
+    ++per_peer[peer];
     if (e.attrs.med) med = true;
 
-    PrefixTrack& t = tracks[e.prefix];
-    if (!t.have_first) {
-      t.have_first = true;
-      t.first_path = e.attrs.as_path;
-      t.last_type = e.type;
-    } else if (e.type != t.last_type ||
-               (e.type == bgp::EventType::kAnnounce &&
-                e.attrs.nexthop != t.last_nexthop)) {
+    const std::uint32_t track = prefix_ids.Id(
+        (static_cast<std::uint64_t>(e.prefix.addr().value()) << 8) |
+        e.prefix.length());
+    if (track == tracks.size()) {
+      tracks.push_back(PrefixTrack{idx, idx, e.type, 0, 1});
+      prefixes.push_back(e.prefix);
+      continue;
+    }
+    PrefixTrack& t = tracks[track];
+    if (e.type != t.last_type ||
+        (e.type == bgp::EventType::kAnnounce &&
+         e.attrs.nexthop != events[t.last].attrs.nexthop)) {
       ++t.transitions;
       t.last_type = e.type;
     }
-    t.last_nexthop = e.attrs.nexthop;
-    t.last_path = e.attrs.as_path;
+    t.last = idx;
     ++t.events;
   }
+  // The sums below accumulate in prefix order.
+  std::vector<std::uint32_t> order(tracks.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&prefixes](std::uint32_t a, std::uint32_t b) {
+              return prefixes[a] < prefixes[b];
+            });
 
-  const double n = static_cast<double>(component.event_indices.size());
+  const double n = static_cast<double>(n_events);
   ev.withdraw_fraction = static_cast<double>(withdraws) / n;
   std::size_t busiest = 0;
-  for (const auto& [peer, count] : per_peer) {
-    busiest = std::max(busiest, count);
-  }
+  for (const std::size_t count : per_peer) busiest = std::max(busiest, count);
   ev.single_peer_fraction = static_cast<double>(busiest) / n;
   ev.med_present = med;
 
@@ -95,18 +145,23 @@ IncidentEvidence Pipeline::ExtractEvidence(
   std::size_t restored = 0;
   std::size_t final_announce = 0;
   std::size_t busiest_prefix_events = 0;
-  std::set<bgp::AsNumber> initial_ases;
-  std::set<bgp::AsNumber> final_ases;
-  for (const auto& [prefix, t] : tracks) {
-    if (t.events > busiest_prefix_events) ev.dominant_prefix = prefix;
+  std::vector<bgp::AsNumber> initial_ases;
+  std::vector<bgp::AsNumber> final_ases;
+  for (const std::uint32_t i : order) {
+    const PrefixTrack& t = tracks[i];
+    const bgp::AsPath& first_path = events[t.first].attrs.as_path;
+    const bgp::AsPath& last_path = events[t.last].attrs.as_path;
+    if (t.events > busiest_prefix_events) ev.dominant_prefix = prefixes[i];
     cycles += static_cast<double>(t.transitions) / 2.0;
-    growth += static_cast<double>(t.last_path.Length()) -
-              static_cast<double>(t.first_path.Length());
-    if (t.last_path == t.first_path) ++restored;
+    growth += static_cast<double>(last_path.Length()) -
+              static_cast<double>(first_path.Length());
+    if (last_path == first_path) ++restored;
     if (t.last_type == bgp::EventType::kAnnounce) ++final_announce;
     busiest_prefix_events = std::max(busiest_prefix_events, t.events);
-    for (const bgp::AsNumber a : t.first_path.asns()) initial_ases.insert(a);
-    for (const bgp::AsNumber a : t.last_path.asns()) final_ases.insert(a);
+    initial_ases.insert(initial_ases.end(), first_path.asns().begin(),
+                        first_path.asns().end());
+    final_ases.insert(final_ases.end(), last_path.asns().begin(),
+                      last_path.asns().end());
   }
   const double p = static_cast<double>(tracks.size());
   ev.cycles_per_prefix = cycles / p;
@@ -114,8 +169,14 @@ IncidentEvidence Pipeline::ExtractEvidence(
   ev.restored_fraction = static_cast<double>(restored) / p;
   ev.final_announce_fraction = static_cast<double>(final_announce) / p;
   ev.dominant_prefix_fraction = static_cast<double>(busiest_prefix_events) / n;
+  for (std::vector<bgp::AsNumber>* ases : {&initial_ases, &final_ases}) {
+    std::sort(ases->begin(), ases->end());
+    ases->erase(std::unique(ases->begin(), ases->end()), ases->end());
+  }
   for (const bgp::AsNumber a : final_ases) {
-    if (!initial_ases.contains(a)) ++ev.new_as_count;
+    if (!std::binary_search(initial_ases.begin(), initial_ases.end(), a)) {
+      ++ev.new_as_count;
+    }
   }
   return ev;
 }
@@ -249,7 +310,9 @@ void Pipeline::PopulateProvenance(std::span<const bgp::Event> events,
 
 Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
                                 const stemming::StemmingResult& result,
-                                const stemming::Component& component) const {
+                                const stemming::Component& component,
+                                const IncidentEvidence& evidence,
+                                IncidentKind kind) const {
   Incident inc;
   inc.component = component;
   inc.event_count = component.event_indices.size();
@@ -280,8 +343,8 @@ Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
   inc.begin = begin;
   inc.end = end;
   inc.ingest_tick = ingest;
-  inc.evidence = ExtractEvidence(events, component);
-  inc.kind = Classify(inc.evidence, inc.prefix_count);
+  inc.evidence = evidence;
+  inc.kind = kind;
   inc.summary = util::StrPrintf(
       "%s at %s: %zu prefixes, %zu events (%.0f%% of window), over %s",
       ToString(inc.kind), inc.stem_label.c_str(), inc.prefix_count,
@@ -292,7 +355,6 @@ Incident Pipeline::MakeIncident(std::span<const bgp::Event> events,
 
 std::vector<Incident> Pipeline::AnalyzeWindow(
     std::span<const bgp::Event> events) const {
-  std::vector<Incident> incidents;
   // Collection-layer markers are not routing events; stem over the routing
   // events only.  (Component indices then refer to the filtered window.)
   if (std::any_of(events.begin(), events.end(), [](const bgp::Event& e) {
@@ -305,22 +367,46 @@ std::vector<Incident> Pipeline::AnalyzeWindow(
     }
     return AnalyzeWindow(routing);
   }
-  if (events.empty()) return incidents;
+  if (events.empty()) return {};
   obs::TraceSpan span("pipeline.window");
   span.Annotate("events", static_cast<std::uint64_t>(events.size()));
   RANOMALY_METRIC_COUNT("pipeline_windows_total", 1);
-  const stemming::StemmingResult result =
-      stemming::Stem(events, options_.stemming);
+  return BuildIncidents(events, Stem(events));
+}
+
+stemming::StemmingResult Pipeline::Stem(
+    std::span<const bgp::Event> events) const {
+  return stemming::Stem(events, options_.stemming);
+}
+
+std::vector<Incident> Pipeline::BuildIncidents(
+    std::span<const bgp::Event> events, const stemming::StemmingResult& result,
+    const std::set<StemKey>* known) const {
+  std::vector<Incident> incidents;
+  if (events.empty()) return incidents;
+  const util::StageTimer timer;
+  obs::TraceSpan span("pipeline.incidents");
   for (const stemming::Component& component : result.components) {
     const double fraction = static_cast<double>(component.event_indices.size()) /
                             static_cast<double>(events.size());
     if (fraction < options_.min_component_fraction) continue;
-    Incident incident = MakeIncident(events, result, component);
-    if (incident.kind == IncidentKind::kUnknown && !options_.include_unknown) {
+    if (known != nullptr &&
+        known->contains({result.symbols.Raw(component.stem.first),
+                         result.symbols.Raw(component.stem.second)})) {
+      continue;  // already reported: the live dedup would drop it
+    }
+    const IncidentEvidence evidence = ExtractEvidence(events, component);
+    const IncidentKind kind = Classify(evidence, component.prefixes.size());
+    if (kind == IncidentKind::kUnknown && !options_.include_unknown) {
       continue;  // statistically strong but operationally featureless
     }
-    incidents.push_back(std::move(incident));
+    incidents.push_back(
+        MakeIncident(events, result, component, evidence, kind));
   }
+  span.Annotate("incidents", static_cast<std::uint64_t>(incidents.size()));
+  span.End();
+  RANOMALY_METRIC_OBSERVE("pipeline_incident_build_seconds", obs::TimeBounds(),
+                          timer.Seconds());
   return incidents;
 }
 

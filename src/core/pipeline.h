@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -54,9 +55,24 @@ class Pipeline {
   // pipeline_* and stemming_* names (docs/OBSERVABILITY.md).
   std::vector<Incident> Analyze(const collector::EventStream& stream) const;
 
-  // Stems and classifies one window.
+  // Stems and classifies one window: Stem, then BuildIncidents.
   std::vector<Incident> AnalyzeWindow(
       std::span<const bgp::Event> events) const;
+
+  // Stems one window of routing events (no collection markers) with the
+  // pipeline's stemming options and pool.
+  stemming::StemmingResult Stem(std::span<const bgp::Event> events) const;
+
+  // Classifies the components of `result`, stemmed over `events`, into
+  // incidents: components claiming less than min_component_fraction of
+  // the window, and featureless (kUnknown) ones unless include_unknown,
+  // are dropped.  A component whose raw stem key is in `known` is skipped
+  // before its incident is built — the live runner reports each stem
+  // once, so building it again would only be thrown away.
+  std::vector<Incident> BuildIncidents(
+      std::span<const bgp::Event> events,
+      const stemming::StemmingResult& result,
+      const std::set<StemKey>* known = nullptr) const;
 
   // Evidence extraction & classification (exposed for tests/benches).
   static IncidentEvidence ExtractEvidence(
@@ -68,10 +84,10 @@ class Pipeline {
 #ifndef RANOMALY_NO_PROVENANCE
   // Builds Incident::provenance (sampled contributing events, stem
   // classes, correlation path) for the provenance ledger, bounded by
-  // `caps`.  Not called during analysis: AnalyzeWindow re-derives every
-  // component each tick and the live runner discards already-seen
-  // stems, so the (string-heavy) evidence build runs only for the
-  // incidents that survive dedup — the caller invokes this after.
+  // `caps`.  Not called during analysis: the live runner re-derives
+  // every component each tick and discards already-seen stems, so the
+  // (string-heavy) evidence build runs only for the incidents that
+  // survive dedup — the caller invokes this after.
   static void PopulateProvenance(std::span<const bgp::Event> events,
                                  const obs::ProvenanceCaps& caps,
                                  Incident& inc);
@@ -82,7 +98,9 @@ class Pipeline {
  private:
   Incident MakeIncident(std::span<const bgp::Event> events,
                         const stemming::StemmingResult& result,
-                        const stemming::Component& component) const;
+                        const stemming::Component& component,
+                        const IncidentEvidence& evidence,
+                        IncidentKind kind) const;
 
   PipelineOptions options_;
   // Shared by stemming shard counts and the spike-window fan-out.  Always

@@ -65,6 +65,11 @@ class InternPool {
 
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
+  // Heap bytes held by the index and the value store.
+  std::size_t Bytes() const {
+    return slots_.capacity() * sizeof(std::uint32_t) +
+           values_.capacity() * sizeof(T);
+  }
 
   // Iteration over all interned values, id order.
   auto begin() const { return values_.begin(); }

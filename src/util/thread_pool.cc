@@ -113,6 +113,9 @@ void ThreadPool::WorkerMain(std::size_t slot) {
       fn = fn_;
       end = end_;
     }
+    // A worker that wakes after the job already finished finds fn_
+    // cleared: every chunk was claimed, so there is nothing to run.
+    if (fn == nullptr) continue;
     RunChunks(seen_generation, *fn, end, slot);
   }
 }
