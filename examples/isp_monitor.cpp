@@ -1,19 +1,20 @@
 // A real-time-style monitoring loop at a Tier-1 ISP (the deployment shape
-// of paper Section V): step the network in 5-minute intervals, run the
-// analysis pipeline over each new window plus a long-window pass, print
-// incidents as they are detected, and drill down into the IGP log
-// (Section III-D.3) around anything suspicious.
+// of paper Section V): capture 35 minutes of the network, replay the
+// capture through the live runner in 5-minute ticks that each analyze
+// the events that arrived during that tick, print incidents as they are
+// detected, and drill down into the IGP log (Section III-D.3) around
+// anything suspicious.
 //
 // Injected behind the scenes: the IV-E flapping customer and one IGP
 // metric change, to give the monitor something to find.
 //
 // Build & run:  ./build/examples/isp_monitor
+// Exits 0 only if the flapping customer's prefix is identified.
 #include <cstdio>
 
 #include "collector/collector.h"
 #include "core/correlate.h"
-#include "core/monitor.h"
-#include "core/pipeline.h"
+#include "core/live.h"
 #include "igp/lsa.h"
 #include "workload/ispanon.h"
 
@@ -53,57 +54,55 @@ int main() {
   const util::SimTime t0 = sim.now();
   InjectCustomerFlaps(sim, net, t0 + 10 * kMinute, 20 * kMinute,
                       10 * kSecond, 50 * kSecond);
-  bool lsa_injected = false;
+  sim.Run(t0 + 35 * kMinute);
+  record_lsa(t0 + 12 * kMinute,
+             igp::Lsa{1, 0, 2, {{2, 500}, {4, 10}}});  // metric change
 
-  // The monitor encapsulates the operations loop: spike-scale analysis of
-  // each poll's fresh events, a periodic long-window pass, and alert
-  // deduplication so the persistent flap pages once per interval.
-  core::RealTimeMonitor::Options monitor_options;
-  monitor_options.long_pass_every = 15 * kMinute;
-  monitor_options.realert_interval = 30 * kMinute;
-  core::RealTimeMonitor monitor(monitor_options);
+  // The live runner is the operations loop: with tick = window, each
+  // tick stems exactly the events that arrived during it, and each stem
+  // is reported once, so the persistent flap pages the operator once.
+  core::LiveOptions live;
+  live.tick = 5 * kMinute;
+  live.window = 5 * kMinute;
+  core::IncidentLog log;
+  core::LiveRunner runner(live, nullptr, &log);
 
   bool found_flap = false;
-  std::size_t previous = 0;
-  for (int step = 1; step <= 7; ++step) {
-    const util::SimTime until = t0 + step * 5 * kMinute;
-    sim.Run(until);
-    if (!lsa_injected && sim.now() >= t0 + 12 * kMinute) {
-      record_lsa(t0 + 12 * kMinute,
-                 igp::Lsa{1, 0, 2, {{2, 500}, {4, 10}}});  // metric change
-      lsa_injected = true;
-    }
-
-    const std::size_t fresh = rex.events().size() - previous;
-    previous = rex.events().size();
-    std::printf("[t=%4.0f min] %zu new events",
-                util::ToSeconds(sim.now() - t0) / 60.0, fresh);
-
-    const auto alerts = monitor.Poll(rex.events());
-    if (alerts.empty()) {
-      std::printf(" - quiet\n");
-    } else {
-      std::printf("\n");
-      for (const auto& incident : alerts) {
-        std::printf("    ALERT %s\n", incident.summary.c_str());
-        for (const auto& p : incident.component.prefixes) {
-          if (p == net.flap_prefix) found_flap = true;
+  std::uint64_t seen = 0;
+  std::uint64_t ingested = 0;
+  const core::LiveStats stats = runner.Run(
+      rex.events(), nullptr, [&](const core::LiveStats& s) {
+        std::printf("[t=%4.0f min] %llu new events",
+                    util::ToSeconds(s.clock - t0) / 60.0,
+                    static_cast<unsigned long long>(s.events_ingested -
+                                                    ingested));
+        ingested = s.events_ingested;
+        const auto alerts = log.Since(seen);
+        seen = log.size();
+        if (alerts.empty()) {
+          std::printf(" - quiet\n");
+          return;
         }
-        // D.3: anything happening in the IGP around this incident?
-        const auto igp_corr = core::CorrelateIgp(incident, lsa_log, kMinute);
-        if (igp_corr.igp_active) {
-          std::printf("      IGP drill-down: %zu LSA event(s) near the "
-                      "incident — check interior routing too\n",
-                      igp_corr.lsa_events.size());
+        std::printf("\n");
+        for (const core::IncidentLog::Entry& entry : alerts) {
+          const core::Incident& incident = entry.incident;
+          std::printf("    ALERT %s\n", incident.summary.c_str());
+          for (const auto& p : incident.component.prefixes) {
+            if (p == net.flap_prefix) found_flap = true;
+          }
+          // D.3: anything happening in the IGP around this incident?
+          const auto igp_corr = core::CorrelateIgp(incident, lsa_log, kMinute);
+          if (igp_corr.igp_active) {
+            std::printf("      IGP drill-down: %zu LSA event(s) near the "
+                        "incident — check interior routing too\n",
+                        igp_corr.lsa_events.size());
+          }
         }
-      }
-    }
-  }
+      });
 
-  std::printf("\nmonitor: %zu polls, %zu alerts raised, %zu duplicate "
-              "alerts suppressed\n",
-              monitor.polls(), monitor.alerts_raised(),
-              monitor.alerts_suppressed());
+  std::printf("\nmonitor: %llu ticks, %llu alerts raised\n",
+              static_cast<unsigned long long>(stats.ticks),
+              static_cast<unsigned long long>(stats.incidents));
   std::printf("persistent customer flap (%s) identified: %s\n",
               net.flap_prefix.ToString().c_str(),
               found_flap ? "YES" : "no");

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <thread>
 #include <utility>
@@ -49,16 +48,6 @@ std::string PeerComponentName(bgp::Ipv4Addr peer) {
   return "peer/" + peer.ToString();
 }
 
-// Degradation-ladder runtime state (persisted via the SHED section).
-struct ShedState {
-  int level = 0;
-  std::uint64_t calm_ticks = 0;     // consecutive below-watermark ticks
-  std::uint64_t arrival_index = 0;  // deterministic L3 sampling phase
-  bool tracer_suspended = false;
-  bool tracer_was_enabled = false;
-  std::vector<ShedWindow> windows;
-};
-
 const char* ShedLevelAction(int level) {
   switch (level) {
     case 1: return "tracing suspended";
@@ -66,15 +55,6 @@ const char* ShedLevelAction(int level) {
     case 3: return "sampling arrivals";
   }
   return "nominal";
-}
-
-// The latency histogram bucket an incident falls in; must mirror the
-// SLOH cross-check in live_checkpoint.cc.
-std::size_t LatencyBucket(const std::vector<double>& bounds, double latency) {
-  for (std::size_t b = 0; b < bounds.size(); ++b) {
-    if (latency <= bounds[b]) return b;
-  }
-  return bounds.size();  // overflow
 }
 
 }  // namespace
@@ -147,19 +127,16 @@ std::string IncidentLog::ToJson(std::uint64_t since) const {
 // ---------------------------------------------------------------------------
 // PeerBoard
 
-PeerBoard::State& PeerBoard::Of(bgp::Ipv4Addr peer) {
-  for (auto& [addr, state] : peers_) {
-    if (addr == peer.value()) return state;
+void PeerBoard::Observe(std::vector<State>& peers, const bgp::Event& event) {
+  auto it = std::find_if(peers.begin(), peers.end(), [&](const State& p) {
+    return p.row.peer == event.peer;
+  });
+  if (it == peers.end()) {
+    it = peers.insert(it, State{});
+    it->row.peer = event.peer;
+    it->row.first_seen = -1;
   }
-  peers_.emplace_back(peer.value(), State{});
-  State& state = peers_.back().second;
-  state.row.peer = peer;
-  state.row.first_seen = -1;
-  return state;
-}
-
-void PeerBoard::Observe(const bgp::Event& event) {
-  State& s = Of(event.peer);
+  State& s = *it;
   Row& row = s.row;
   if (row.first_seen < 0) row.first_seen = event.time;
   row.last_seen = event.time;
@@ -190,7 +167,7 @@ void PeerBoard::Observe(const bgp::Event& event) {
 }
 
 void PeerBoard::Finish(util::SimTime end) {
-  for (auto& [addr, s] : peers_) {
+  for (State& s : peers_) {
     if (s.gap_open >= 0 && end > s.gap_open) {
       // Open gap: accrue degraded time up to the close of books, but keep
       // the gap open (the peer is still degraded).
@@ -201,31 +178,10 @@ void PeerBoard::Finish(util::SimTime end) {
   }
 }
 
-std::vector<PeerBoard::Persisted> PeerBoard::Export() const {
-  std::vector<Persisted> out;
-  out.reserve(peers_.size());
-  for (const auto& [addr, s] : peers_) {
-    out.push_back(Persisted{s.row, s.gap_open, s.gap_sec});
-  }
-  return out;
-}
-
-void PeerBoard::Restore(std::vector<Persisted> states) {
-  peers_.clear();
-  peers_.reserve(states.size());
-  for (Persisted& p : states) {
-    State s;
-    s.row = std::move(p.row);
-    s.gap_open = p.gap_open;
-    s.gap_sec = p.gap_sec;
-    peers_.emplace_back(s.row.peer.value(), std::move(s));
-  }
-}
-
 std::vector<PeerBoard::Row> PeerBoard::Rows() const {
   std::vector<Row> out;
   out.reserve(peers_.size());
-  for (const auto& [addr, s] : peers_) {
+  for (const State& s : peers_) {
     Row row = s.row;
     if (row.first_seen < 0) row.first_seen = 0;
     const double span = util::ToSeconds(row.last_seen - row.first_seen);
@@ -313,349 +269,634 @@ LiveRunner::LiveRunner(LiveOptions options, obs::HealthRegistry* health,
               "Log lines swallowed by rate limiting across all call sites.");
 }
 
-LiveStats LiveRunner::Run(
-    const collector::EventStream& stream,
-    const std::atomic<bool>* keep_going,
-    const std::function<void(const LiveStats&)>& on_tick) {
-  LiveStats stats;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const std::vector<double> latency_bounds = DetectionLatencyBounds();
-  const obs::MetricId latency_id =
-      reg.Histogram("incident_detection_latency_seconds", latency_bounds);
-  const obs::MetricId slo_id = reg.Gauge("incident_detection_slo_ratio");
-  const obs::MetricId ticks_id = reg.Counter("serve_ticks_total");
-  const obs::MetricId ingested_id = reg.Counter("serve_events_ingested_total");
-  const obs::MetricId incidents_id = reg.Counter("serve_incidents_total");
-  const obs::MetricId position_id = reg.Gauge("serve_replay_position_seconds");
-  const obs::MetricId depth_id = reg.Gauge("serve_queue_depth");
-  const obs::MetricId level_id = reg.Gauge("serve_shed_level");
-  const obs::MetricId shed_id = reg.Counter("serve_events_shed_total");
-  const obs::MetricId restores_id = reg.Counter("serve_restores_total");
-  const obs::MetricId restore_failures_id =
-      reg.Counter("serve_restore_failures_total");
-  const obs::MetricId suppressed_id = reg.Gauge("log_lines_suppressed_total");
+namespace {
 
-  obs::HealthRegistry::ComponentId replay_id = 0;
-  obs::HealthRegistry::ComponentId ingest_id = 0;
-  if (health_ != nullptr) {
-    replay_id = health_->Register("replay");
-    ingest_id = health_->Register("ingest");
-    if (options_.heartbeat_deadline_sec > 0) {
-      health_->SetHeartbeatDeadline(replay_id, options_.heartbeat_deadline_sec);
+// Writes checkpoints on one background thread (fsync, rename, fsync), so
+// disk latency never stalls a tick.  One write is in flight at a time,
+// and its result is reaped at the *next* checkpoint boundary, which keeps
+// every stats/backoff mutation tick-deterministic: a resumed run accounts
+// writes on exactly the same ticks as an uninterrupted one.
+class CheckpointWriter {
+ public:
+  explicit CheckpointWriter(std::string path)
+      : path_(std::move(path)), thread_([this] { Loop(); }) {}
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  ~CheckpointWriter() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  void Enqueue(collector::Checkpoint checkpoint) {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = std::move(checkpoint);
+    busy_ = true;
+    cv_.notify_all();
+  }
+
+  // Blocks until the in-flight write (if any) lands; nullopt when no
+  // write has been issued since the last reap.
+  std::optional<bool> Reap() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !busy_; });
+    return std::exchange(result_, std::nullopt);
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return job_.has_value() || stop_; });
+      if (!job_.has_value()) return;
+      const collector::Checkpoint checkpoint = std::move(*job_);
+      job_.reset();
+      lock.unlock();
+      bool ok = false;
+      try {
+        ok = collector::WriteCheckpointFile(checkpoint, path_);
+      } catch (...) {
+        // Reaped as a failed write, like any other; the next cut retries.
+      }
+      lock.lock();
+      result_ = ok;
+      busy_ = false;
+      cv_.notify_all();
     }
   }
-  const auto peer_health = [this](bgp::Ipv4Addr peer, obs::HealthState state,
-                                  std::string reason) {
-    if (health_ == nullptr) return;
-    const auto id = health_->Register(PeerComponentName(peer));
-    health_->SetState(id, state, std::move(reason));
-  };
-  // Mirror health states into labeled gauges so they scrape.
-  const auto sync_health_gauges = [this, &reg]() {
-    if (health_ == nullptr) return;
-    for (const auto& c : health_->Snapshot()) {
-      const obs::MetricId id = reg.Gauge(
-          "health_component_state" +
-          obs::PromLabels({{"component", c.name}}));
-      reg.Set(id, static_cast<double>(c.state));
-    }
-  };
 
-  if (stream.empty()) {
+  const std::string path_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<collector::Checkpoint> job_;
+  std::optional<bool> result_;
+  bool busy_ = false;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts once everything above exists
+};
+
+std::string GapReason(const LiveGap& gap) {
+  return util::StrPrintf("feed gap open since %.0fs",
+                         util::ToSeconds(gap.begin));
+}
+
+// One Run: the LiveState its checkpoints encode, what derives from that
+// state and the stream (the in-flight events and their encoded window,
+// the checkpoint schedule), and the run's sinks and metric handles.
+// Each tick runs the phases Ingest, Ladder, Slide, Analyze, Publish and
+// Checkpoint in that order; Restore runs before the first tick and
+// Finish after the last.
+class Replay {
+ public:
+  Replay(const LiveOptions& options, const Pipeline& pipeline,
+         obs::HealthRegistry* health, IncidentLog& log,
+         obs::TimeSeriesStore* series, obs::ProvenanceLedger* provenance,
+         const collector::EventStream& stream)
+      : options_(options),
+        pipeline_(pipeline),
+        health_(health),
+        log_(log),
+        series_(series),
+        provenance_(provenance),
+        events_(stream.events()),
+        backpressure_(options.shed.queue_capacity > 0),
+        stemmer_(pipeline.options().stemming),
+        reg_(obs::MetricsRegistry::Global()),
+        latency_id_(reg_.Histogram("incident_detection_latency_seconds",
+                                   DetectionLatencyBounds())),
+        slo_id_(reg_.Gauge("incident_detection_slo_ratio")),
+        ticks_id_(reg_.Counter("serve_ticks_total")),
+        ingested_id_(reg_.Counter("serve_events_ingested_total")),
+        incidents_id_(reg_.Counter("serve_incidents_total")),
+        position_id_(reg_.Gauge("serve_replay_position_seconds")),
+        depth_id_(reg_.Gauge("serve_queue_depth")),
+        level_id_(reg_.Gauge("serve_shed_level")),
+        shed_id_(reg_.Counter("serve_events_shed_total")),
+        restores_id_(reg_.Counter("serve_restores_total")),
+        restore_failures_id_(reg_.Counter("serve_restore_failures_total")),
+        suppressed_id_(reg_.Gauge("log_lines_suppressed_total")) {
     if (health_ != nullptr) {
-      health_->SetState(replay_id, obs::HealthState::kOk, "replay complete");
+      replay_id_ = health_->Register("replay");
+      ingest_id_ = health_->Register("ingest");
+      if (options_.heartbeat_deadline_sec > 0) {
+        health_->SetHeartbeatDeadline(replay_id_,
+                                      options_.heartbeat_deadline_sec);
+      }
     }
-    sync_health_gauges();
-    return stats;
+    if (!events_.empty()) state_.t0 = events_.front().time;
+    if (!options_.checkpoint_path.empty() &&
+        options_.checkpoint_every_ticks > 0) {
+      writer_.emplace(options_.checkpoint_path);
+    }
+    next_checkpoint_tick_ = options_.checkpoint_every_ticks;
   }
 
-  const auto& events = stream.events();
-  const util::SimTime t0 = events.front().time;
-  const ShedOptions& so = options_.shed;
-  const bool backpressure = so.queue_capacity > 0;
-  const bool checkpointing = !options_.checkpoint_path.empty() &&
-                             options_.checkpoint_every_ticks > 0;
+  const LiveStats& stats() const { return state_.stats; }
 
-  std::size_t next = 0;
-  std::vector<bgp::Event> window;
-  std::vector<bgp::Event> queue;  // routing events awaiting analysis, FIFO
-  // Stream index of each in-flight event, maintained in lockstep with
-  // window/queue.  Checkpoints persist these (as the FLOW section's
-  // 2-bit admission classes) instead of the event bytes themselves: the
-  // stream file is the source of truth, and restore re-reads it.
-  std::vector<std::uint64_t> window_idx;
-  std::vector<std::uint64_t> queue_idx;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> seen_stems;
-  std::vector<LiveGap> gaps;
-  PeerBoard board;
-  ShedState shed;
-  // Mirror of the incident log plus histogram counts, kept so checkpoints
-  // can be cut without reaching into the (shared) sinks.
-  std::vector<IncidentLog::Entry> logged;
-  std::vector<std::uint64_t> latency_counts(latency_bounds.size() + 1, 0);
-  bool complete = false;
+  // The first tick boundary: one tick past the stream start, or past the
+  // restored clock.
+  util::SimTime FirstTickEnd() const {
+    return (state_.stats.restored ? state_.stats.clock : state_.t0) +
+           options_.tick;
+  }
 
-  const auto peer_health_reason = [](const LiveGap& gap) {
-    return util::StrPrintf("feed gap open since %.0fs",
-                           util::ToSeconds(gap.begin));
-  };
-
-  // ---- Restore.  Any validation failure is loud (the failing section is
-  // named) but non-fatal: deterministic replay from the stream converges
-  // to the same incident log, so starting fresh self-heals.
-  if (!options_.checkpoint_path.empty() &&
-      std::filesystem::exists(options_.checkpoint_path)) {
-    const auto reject = [&](const std::string& why) {
+  // Resumes from the checkpoint file when one is present.  Any
+  // validation failure is loud (the failing section is named) but
+  // non-fatal: deterministic replay from the stream converges to the
+  // same incident log, so starting fresh self-heals.
+  void Restore() {
+    if (options_.checkpoint_path.empty() ||
+        !std::filesystem::exists(options_.checkpoint_path)) {
+      return;
+    }
+    LiveState st;
+    if (const std::string why = Load(st); !why.empty()) {
       RANOMALY_LOG(util::LogLevel::kError,
                    util::StrPrintf("checkpoint restore from %s rejected: %s; "
                                    "starting fresh",
                                    options_.checkpoint_path.c_str(),
                                    why.c_str()));
-      reg.Add(restore_failures_id, 1);
-    };
+      reg_.Add(restore_failures_id_, 1);
+      return;
+    }
+    // Rebuild the external surfaces the snapshot implies: metrics
+    // counters resume, the latency histogram is re-observed exactly
+    // (simulated values), and degraded peers re-report.
+    for (const IncidentLog::Entry& e : st.incidents) {
+      reg_.Observe(latency_id_, e.incident.detection_latency_sec);
+    }
+    state_ = std::move(st);
+    DropSinkPayloads();
+    const LiveStats& stats = state_.stats;
+    reg_.Add(ingested_id_, static_cast<double>(stats.events_ingested));
+    reg_.Add(ticks_id_, static_cast<double>(stats.ticks));
+    reg_.Add(incidents_id_, static_cast<double>(stats.incidents));
+    reg_.Add(shed_id_, static_cast<double>(stats.events_shed));
+    SetSloRatio();
+    reg_.Set(position_id_, util::ToSeconds(stats.clock));
+    if (state_.tracer_suspended) obs::Tracer::Global().SetEnabled(false);
+    if (health_ != nullptr) {
+      for (const PeerBoard::State& peer : state_.peers) {
+        health_->Register(PeerComponentName(peer.row.peer));
+      }
+      for (const LiveGap& gap : state_.gaps) {
+        if (!gap.closed) {
+          SetPeerHealth(gap.peer, obs::HealthState::kDegraded,
+                        GapReason(gap));
+        }
+      }
+      if (state_.shed_level > 0) SetIngestHealth(state_.shed_level);
+    }
+    // Rebuild the in-flight events from the stream: FLOW records only
+    // each event's admission class.  The ingest stamp is derivable —
+    // consumption always happens at the first tick boundary strictly
+    // after the event's time, on the fixed grid anchored at t0.
+    for (std::size_t k = 0; k < state_.flow.size(); ++k) {
+      if (state_.flow[k] == 0) continue;
+      bgp::Event event =
+          events_[static_cast<std::size_t>(state_.flow_start) + k];
+      event.ingest_tick =
+          state_.t0 +
+          ((event.time - state_.t0) / options_.tick + 1) * options_.tick;
+      (state_.flow[k] == 1 ? window_ : queue_).push_back(std::move(event));
+    }
+    stemmer_.PushBack(window_);
+    next_checkpoint_tick_ = stats.ticks + options_.checkpoint_every_ticks;
+    reg_.Add(restores_id_, 1);
+    RANOMALY_LOG(util::LogLevel::kInfo,
+                 util::StrPrintf(
+                     "restored live state from %s: tick %llu, clock %.0fs, "
+                     "%llu incidents, %zu queued",
+                     options_.checkpoint_path.c_str(),
+                     static_cast<unsigned long long>(stats.ticks),
+                     util::ToSeconds(stats.clock),
+                     static_cast<unsigned long long>(stats.incidents),
+                     queue_.size()));
+  }
+
+  // Consumes this tick's batch.  The batch end is the ingest stamp — the
+  // earliest moment the pipeline could have analyzed these events.
+  void Ingest(util::SimTime tick_end) {
+    obs::TraceSpan span("live.ingest");
+    // The level chosen at the *previous* boundary governs L3 sampling,
+    // so shedding is a pure function of checkpointed state.
+    const bool sampling = backpressure_ && state_.shed_level >= 3;
+    while (state_.next_event < events_.size() &&
+           events_[state_.next_event].time < tick_end) {
+      bgp::Event event = events_[state_.next_event++];
+      event.ingest_tick = tick_end;
+      PeerBoard::Observe(state_.peers, event);
+      ++state_.stats.events_ingested;
+      reg_.Add(ingested_id_, 1);
+      std::uint8_t admission = 0;  // markers are never queued (or shed)
+      if (event.type == bgp::EventType::kFeedGap) {
+        LiveGap* gap = OpenGap(event.peer);
+        if (gap == nullptr) {
+          gap = &state_.gaps.emplace_back(
+              LiveGap{event.peer, event.time, event.time, false});
+        }
+        SetPeerHealth(event.peer, obs::HealthState::kDegraded,
+                      GapReason(*gap));
+      } else if (event.type == bgp::EventType::kResync) {
+        if (LiveGap* gap = OpenGap(event.peer)) {
+          gap->closed = true;
+          gap->end = event.time;
+        }
+        SetPeerHealth(event.peer, obs::HealthState::kOk, "");
+      } else {
+        admission = Admit(std::move(event), sampling);
+      }
+      state_.flow.push_back(admission);
+    }
+  }
+
+  // Degradation ladder: compares the end-of-ingest queue depth to the
+  // watermarks.  Escalation is immediate; de-escalation steps one stage
+  // per `recovery_ticks` calm ticks (hysteresis).
+  void Ladder(util::SimTime tick_end) {
+    if (!backpressure_) return;
+    const ShedOptions& so = options_.shed;
+    const double fill = static_cast<double>(queue_.size()) /
+                        static_cast<double>(so.queue_capacity);
+    int target = 0;
+    if (fill >= so.l3_watermark) {
+      target = 3;
+    } else if (fill >= so.l2_watermark) {
+      target = 2;
+    } else if (fill >= so.l1_watermark) {
+      target = 1;
+    }
+    if (target > state_.shed_level) {
+      SetShedLevel(target, tick_end);
+      state_.calm_ticks = 0;
+    } else if (target < state_.shed_level) {
+      if (++state_.calm_ticks >= so.recovery_ticks) {
+        SetShedLevel(state_.shed_level - 1, tick_end);
+        state_.calm_ticks = 0;
+      }
+    } else {
+      state_.calm_ticks = 0;
+    }
+  }
+
+  // Slides the window, then drains the queue into it — in that order, so
+  // a backlogged event older than the window still gets analyzed once.
+  // Returns whether this is the final tick (stream read, queue empty).
+  bool Slide(util::SimTime tick_end) {
+    obs::TraceSpan span("live.slide");
+    const util::SimTime window_begin = tick_end - options_.window;
+    const std::size_t evicted = static_cast<std::size_t>(
+        std::find_if(window_.begin(), window_.end(),
+                     [window_begin](const bgp::Event& e) {
+                       return e.time >= window_begin;
+                     }) -
+        window_.begin());
+    std::size_t drain = queue_.size();
+    if (backpressure_ && options_.shed.service_rate > 0) {
+      drain = std::min(drain, options_.shed.service_rate);
+    }
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(evicted));
+    stemmer_.PopFront(evicted);
+    window_.insert(window_.end(), std::make_move_iterator(queue_.begin()),
+                   std::make_move_iterator(
+                       queue_.begin() + static_cast<std::ptrdiff_t>(drain)));
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(drain));
+    stemmer_.PushBack(std::span<const bgp::Event>(window_).last(drain));
+    // FLOW in lockstep: the oldest `evicted` window entries settle, the
+    // oldest `drain` queue entries join the window (every window entry
+    // precedes every queue entry), and settled entries leave the front.
+    std::vector<std::uint8_t>& flow = state_.flow;
+    std::size_t k = 0;
+    for (std::size_t n = evicted; n > 0; ++k) {
+      if (flow[k] == 1) {
+        flow[k] = 0;
+        --n;
+      }
+    }
+    for (std::size_t n = drain; n > 0; ++k) {
+      if (flow[k] == 2) {
+        flow[k] = 1;
+        --n;
+      }
+    }
+    const auto settled =
+        std::find_if(flow.begin(), flow.end(),
+                     [](std::uint8_t c) { return c != 0; }) -
+        flow.begin();
+    flow.erase(flow.begin(), flow.begin() + settled);
+    state_.flow_start += static_cast<std::uint64_t>(settled);
+    return state_.next_event >= events_.size() && queue_.empty();
+  }
+
+  // Stems the window, keeps the incidents whose stems are new, decorates
+  // them (detection latency, feed-gap and load-shed marks, provenance)
+  // and appends them to the log.
+  void Analyze(util::SimTime tick_end, bool final_tick) {
+    // L2+: halve the analysis cadence (every other tick covers a doubled
+    // batch).  The final tick always analyzes so nothing is left behind.
+    if (state_.shed_level >= 2 && !final_tick && state_.stats.ticks % 2 != 0) {
+      return;
+    }
+    obs::TraceSpan span("live.analyze");
+    std::vector<Incident> found;
+    if (!window_.empty()) {
+      obs::TraceSpan window_span("pipeline.window");
+      window_span.Annotate("events",
+                           static_cast<std::uint64_t>(window_.size()));
+      RANOMALY_METRIC_COUNT("pipeline_windows_total", 1);
+      // Known stems are skipped before their incident is built.
+      found = pipeline_.BuildIncidents(window_, stemmer_.Extract(),
+                                       &state_.seen_stems);
+    }
+    LiveStats& stats = state_.stats;
+    for (Incident& inc : found) {
+      if (!state_.seen_stems.insert(inc.stem_key).second) continue;  // known
+      inc.detected_at = tick_end;
+      inc.detection_latency_sec = util::ToSeconds(tick_end - inc.begin);
+      for (const LiveGap& gap : state_.gaps) {
+        const util::SimTime gap_end = gap.closed ? gap.end : tick_end;
+        if (inc.begin <= gap_end && gap.begin <= inc.end) {
+          inc.feed_degraded = true;
+          inc.summary += " [feed-degraded]";
+          break;
+        }
+      }
+      if (InShedWindow(inc.begin, inc.end, tick_end)) {
+        inc.load_shed = true;
+        inc.summary += " [load-shed]";
+      }
+      reg_.Observe(latency_id_, inc.detection_latency_sec);
+      reg_.Add(incidents_id_, 1);
+      ++stats.incidents;
+      if (inc.detection_latency_sec <= options_.slo_target_sec) {
+        ++stats.incidents_within_slo;
+      }
+#ifndef RANOMALY_NO_PROVENANCE
+      if (provenance_ != nullptr) AttachProvenance(inc, tick_end);
+      inc.provenance = {};
+#endif
+      log_.Append(std::move(inc));
+    }
+    SetSloRatio();
+  }
+
+  // Closes the tick: stats, gauges, heartbeat, and the dashboard sample.
+  void Publish(util::SimTime tick_end) {
+    obs::TraceSpan span("live.publish");
+    LiveStats& stats = state_.stats;
+    ++stats.ticks;
+    stats.clock = tick_end;
+    stats.shed_level = state_.shed_level;
+    stats.queue_depth = queue_.size();
+    reg_.Add(ticks_id_, 1);
+    reg_.Set(position_id_, util::ToSeconds(tick_end));
+    reg_.Set(depth_id_, static_cast<double>(queue_.size()));
+    reg_.Set(level_id_, static_cast<double>(state_.shed_level));
+    reg_.Set(suppressed_id_, static_cast<double>(util::SuppressedLogLines()));
+    if (health_ != nullptr) health_->Heartbeat(replay_id_);
+    SyncHealthGauges();
+    // Sample the registry into the dashboard history at the boundary —
+    // after every metric for this tick has landed and before any
+    // checkpoint is cut, so each snapshot carries its own tick's point.
+    if (series_ != nullptr) series_->Sample(reg_, tick_end);
+  }
+
+  // Cuts a periodic checkpoint at this tick boundary when one is due
+  // (a crash between boundaries re-executes the partial tick identically
+  // after restore) and hands it to the background writer.
+  void Checkpoint() {
+    LiveStats& stats = state_.stats;
+    if (!writer_.has_value() || stats.ticks < next_checkpoint_tick_) return;
+    obs::TraceSpan span("live.checkpoint");
+    const std::optional<bool> previous = writer_->Reap();
+    Account(previous);
+    if (previous != false) {  // no write failed since the last cut
+      if (previous == true) retry_backoff_ = 0;
+      writer_->Enqueue(Cut());
+      next_checkpoint_tick_ = stats.ticks + options_.checkpoint_every_ticks;
+      return;
+    }
+    // Keep analyzing; retry with exponential backoff so a full disk does
+    // not turn the daemon into a log firehose.
+    retry_backoff_ =
+        retry_backoff_ == 0
+            ? 1
+            : std::min(retry_backoff_ * 2,
+                       options_.checkpoint_retry_max_backoff_ticks);
+    next_checkpoint_tick_ = stats.ticks + retry_backoff_;
+    RANOMALY_LOG_EVERY_N(
+        util::LogLevel::kWarn, 4,
+        util::StrPrintf("checkpoint write to %s failed at tick %llu; "
+                        "retrying in %llu ticks",
+                        options_.checkpoint_path.c_str(),
+                        static_cast<unsigned long long>(stats.ticks),
+                        static_cast<unsigned long long>(retry_backoff_)));
+  }
+
+  // After the last tick: report completion, leave the last tick boundary
+  // durable (the graceful-drain contract), and hand the tracer back as
+  // the caller configured it.
+  LiveStats Finish(bool complete) {
+    if (health_ != nullptr && complete) {
+      // The replay no longer makes progress, so stall detection must
+      // stop accusing it.
+      health_->SetHeartbeatDeadline(replay_id_, 0.0);
+      health_->SetState(replay_id_, obs::HealthState::kOk, "replay complete");
+      SyncHealthGauges();
+    }
+    if (writer_.has_value()) {
+      // Settle the in-flight background write first, then write
+      // synchronously — a handful of attempts rides out a transient
+      // fault; past that the stream replay is the fallback.
+      Account(writer_->Reap());
+      writer_.reset();
+      if (state_.stats.ticks > 0) {
+        bool durable = false;
+        for (int attempt = 0; attempt < 3 && !durable; ++attempt) {
+          // Re-cut each attempt: the LIVE stats count the failed ones.
+          durable =
+              collector::WriteCheckpointFile(Cut(), options_.checkpoint_path);
+          Account(durable);
+        }
+        if (!durable) {
+          RANOMALY_LOG(util::LogLevel::kError,
+                       util::StrPrintf("final checkpoint write to %s failed; "
+                                       "a restart will replay from the last "
+                                       "durable snapshot",
+                                       options_.checkpoint_path.c_str()));
+        }
+      }
+    }
+    if (state_.tracer_suspended) {
+      obs::Tracer::Global().SetEnabled(state_.tracer_was_enabled);
+    }
+    return state_.stats;
+  }
+
+ private:
+  // Reads, decodes and validates the checkpoint into `st` and hands the
+  // sink payloads to their sinks; returns why it was rejected, or "".
+  std::string Load(LiveState& st) {
     collector::LoadDiagnostics diag;
-    LiveCheckpointState st;
-    std::string err;
-    const std::optional<collector::Checkpoint> ck =
+    const std::optional<collector::Checkpoint> checkpoint =
         collector::ReadCheckpointFile(options_.checkpoint_path, &diag);
-    if (!ck.has_value()) {
-      reject(diag.ToString());
-    } else if (!DecodeLiveState(*ck, &st, &err)) {
-      reject(err);
-    } else if (st.t0 != t0) {
-      reject("section LIVE: t0 does not match the stream");
-    } else if (st.next_event > events.size()) {
-      reject("section LIVE: cursor beyond the end of the stream");
-    } else if (incidents_ != nullptr && !incidents_->Restore(st.incidents)) {
-      reject("section INCD: incident log rejected the entries");
-    } else if (series_ != nullptr &&
-               !series_->Restore(std::move(st.series_store), &err)) {
-      // Tier shape is configuration: a checkpoint cut under different
-      // retention tiers must not seed this store's rings.  The incident
-      // log was already replaced above; empty it again so the fresh
-      // replay starts from a consistent nothing.
-      if (incidents_ != nullptr) incidents_->Restore({});
-      reject("section SERS: " + err);
-    } else if (provenance_ != nullptr &&
-               !provenance_->Restore(std::move(st.provenance), &err)) {
-      // Same unwind discipline as SERS: the incident log and series
-      // store were already replaced above; empty them again so the
-      // fresh replay starts from a consistent nothing.
-      if (incidents_ != nullptr) incidents_->Restore({});
+    std::string err;
+    if (!checkpoint.has_value()) return diag.ToString();
+    if (!DecodeLiveState(*checkpoint, &st, &err)) return err;
+    if (st.t0 != state_.t0) return "section LIVE: t0 does not match the stream";
+    if (st.next_event > events_.size()) {
+      return "section LIVE: cursor beyond the end of the stream";
+    }
+    if (!log_.Restore(st.incidents)) {
+      return "section INCD: incident log rejected the entries";
+    }
+    // Tier shape is configuration: a checkpoint cut under different
+    // retention tiers must not seed this store's rings.  The sinks
+    // restored before a rejection are emptied again, so the fresh replay
+    // starts from a consistent nothing.
+    if (series_ != nullptr &&
+        !series_->Restore(std::move(st.series_store), &err)) {
+      log_.Restore({});
+      return "section SERS: " + err;
+    }
+    if (provenance_ != nullptr &&
+        !provenance_->Restore(std::move(st.provenance), &err)) {
+      log_.Restore({});
       if (series_ != nullptr) series_->Restore({}, nullptr);
-      reject("section PROV: " + err);
-    } else {
-      next = static_cast<std::size_t>(st.next_event);
-      stats = st.stats;
-      // Rebuild the in-flight containers from the stream: the FLOW
-      // section records only each event's admission class.  The ingest
-      // stamp is derivable — consumption always happens at the first
-      // tick boundary strictly after the event's time, on the fixed
-      // grid anchored at t0.
-      for (std::size_t k = 0; k < st.flow.size(); ++k) {
-        if (st.flow[k] == 0) continue;
-        const std::size_t i = static_cast<std::size_t>(st.flow_start) + k;
-        bgp::Event event = events[i];
-        event.ingest_tick =
-            t0 + ((event.time - t0) / options_.tick + 1) * options_.tick;
-        if (st.flow[k] == 1) {
-          window.push_back(std::move(event));
-          window_idx.push_back(st.flow_start + k);
-        } else {
-          queue.push_back(std::move(event));
-          queue_idx.push_back(st.flow_start + k);
-        }
-      }
-      seen_stems.insert(st.seen_stems.begin(), st.seen_stems.end());
-      gaps = std::move(st.gaps);
-      board.Restore(std::move(st.peers));
-      shed.level = st.shed_level;
-      shed.calm_ticks = st.calm_ticks;
-      shed.arrival_index = st.arrival_index;
-      shed.tracer_suspended = st.tracer_suspended;
-      shed.tracer_was_enabled = st.tracer_was_enabled;
-      shed.windows = std::move(st.shed_windows);
-      logged = std::move(st.incidents);
-      latency_counts = std::move(st.latency_counts);
-      // Rebuild the external surfaces the snapshot implies: metrics
-      // counters resume, the latency histogram is re-observed exactly
-      // (simulated values), and degraded peers re-report.
-      reg.Add(ingested_id, static_cast<double>(stats.events_ingested));
-      reg.Add(ticks_id, static_cast<double>(stats.ticks));
-      reg.Add(incidents_id, static_cast<double>(stats.incidents));
-      reg.Add(shed_id, static_cast<double>(stats.events_shed));
-      for (const IncidentLog::Entry& e : logged) {
-        reg.Observe(latency_id, e.incident.detection_latency_sec);
-      }
-      if (stats.incidents > 0) {
-        reg.Set(slo_id, static_cast<double>(stats.incidents_within_slo) /
-                            static_cast<double>(stats.incidents));
-      }
-      reg.Set(position_id, util::ToSeconds(stats.clock));
-      if (shed.tracer_suspended) obs::Tracer::Global().SetEnabled(false);
-      if (health_ != nullptr) {
-        for (const PeerBoard::Row& row : board.Rows()) {
-          health_->Register(PeerComponentName(row.peer));
-        }
-        for (const LiveGap& gap : gaps) {
-          if (!gap.closed) {
-            peer_health(gap.peer, obs::HealthState::kDegraded,
-                        peer_health_reason(gap));
-          }
-        }
-        if (shed.level > 0) {
-          health_->SetState(
-              ingest_id, obs::HealthState::kDegraded,
-              util::StrPrintf("load shed L%d: %s", shed.level,
-                              ShedLevelAction(shed.level)));
-        }
-      }
-      reg.Add(restores_id, 1);
-      RANOMALY_LOG(util::LogLevel::kInfo,
-                   util::StrPrintf(
-                       "restored live state from %s: tick %llu, clock %.0fs, "
-                       "%llu incidents, %zu queued",
-                       options_.checkpoint_path.c_str(),
-                       static_cast<unsigned long long>(stats.ticks),
-                       util::ToSeconds(stats.clock),
-                       static_cast<unsigned long long>(stats.incidents),
-                       queue.size()));
+      return "section PROV: " + err;
     }
+    return "";
   }
 
-  // The encoded analysis window, kept across ticks: each tick expires the
-  // evicted events and encodes only the drained ones.  A pure function of
-  // the window's events, so after a restore it is rebuilt from the
-  // restored window (no checkpoint section of its own).
-  stemming::WindowStemmer stemmer(pipeline_.options().stemming);
-  stemmer.PushBack(window);
-  // Stems the current window and builds incidents for the stems not yet
-  // reported (seen stems are skipped before their incident is built).
-  const auto analyze_window = [&]() -> std::vector<Incident> {
-    if (window.empty()) return {};
-    obs::TraceSpan span("pipeline.window");
-    span.Annotate("events", static_cast<std::uint64_t>(window.size()));
-    RANOMALY_METRIC_COUNT("pipeline_windows_total", 1);
-    return pipeline_.BuildIncidents(window, stemmer.Extract(), &seen_stems);
-  };
-
-  // ---- Checkpoint cutting.  Snapshots are taken only at tick
-  // boundaries, so a crash between them re-executes the partial tick
-  // identically after restore.
-  std::uint64_t next_checkpoint_tick =
-      stats.ticks + options_.checkpoint_every_ticks;
-  std::uint64_t retry_backoff = 0;
-  const auto make_checkpoint = [&]() -> collector::Checkpoint {
-    LiveCheckpointState st;
-    st.t0 = t0;
-    st.next_event = next;
-    st.stats = stats;
-    st.shed_level = shed.level;
-    st.calm_ticks = shed.calm_ticks;
-    st.arrival_index = shed.arrival_index;
-    st.tracer_suspended = shed.tracer_suspended;
-    st.tracer_was_enabled = shed.tracer_was_enabled;
-    st.shed_windows = shed.windows;
-    st.seen_stems.assign(seen_stems.begin(), seen_stems.end());
-    st.gaps = gaps;
-    st.peers = board.Export();
-    st.latency_counts = latency_counts;
-    if (series_ != nullptr) st.series_store = series_->Export();
-    if (provenance_ != nullptr) st.provenance = provenance_->Export();
-    // In-flight events persist as 2-bit admission classes over the
-    // stream range [flow_start, next): window entries always precede
-    // queue entries, so the front of window_idx (or queue_idx when the
-    // window is empty) is the oldest in-flight stream index.
-    st.flow_start = !window_idx.empty()
-                        ? window_idx.front()
-                        : (!queue_idx.empty() ? queue_idx.front() : next);
-    st.flow.assign(next - static_cast<std::size_t>(st.flow_start), 0);
-    for (const std::uint64_t i : window_idx) st.flow[i - st.flow_start] = 1;
-    for (const std::uint64_t i : queue_idx) st.flow[i - st.flow_start] = 2;
-    collector::Checkpoint ck;
-    // The incident log is encoded by reference (borrowing overload):
-    // copying it into `st` costs three string allocations per entry, and
-    // the snapshot is cut on the replay thread.
-    EncodeLiveState(st, logged, ck);
-    return ck;
-  };
-  const auto write_checkpoint = [&]() -> bool {
-    const bool ok =
-        collector::WriteCheckpointFile(make_checkpoint(), options_.checkpoint_path);
-    if (ok) {
-      ++stats.checkpoint_writes;
-    } else {
-      ++stats.checkpoint_failures;
-    }
-    return ok;
-  };
-
-  // Periodic snapshots are cut on the replay thread (the state copy and
-  // encode are cheap and must be consistent) but written — fsync, rename,
-  // fsync — by a single background writer, so disk latency never stalls a
-  // tick.  The result is reaped at the *next* checkpoint boundary, which
-  // keeps every stats/backoff mutation tick-deterministic: a resumed run
-  // accounts writes on exactly the same ticks as an uninterrupted one.
-  std::mutex ck_mu;
-  std::condition_variable ck_cv;
-  std::optional<collector::Checkpoint> ck_job;
-  std::optional<bool> ck_result;
-  bool ck_busy = false;
-  bool ck_stop = false;
-  std::thread ck_writer;
-  if (checkpointing) {
-    ck_writer = std::thread([&] {
-      std::unique_lock<std::mutex> lock(ck_mu);
-      for (;;) {
-        ck_cv.wait(lock, [&] { return ck_job.has_value() || ck_stop; });
-        if (!ck_job.has_value()) break;
-        const collector::Checkpoint ck = std::move(*ck_job);
-        ck_job.reset();
-        lock.unlock();
-        const bool ok =
-            collector::WriteCheckpointFile(ck, options_.checkpoint_path);
-        lock.lock();
-        ck_result = ok;
-        ck_busy = false;
-        ck_cv.notify_all();
-      }
-    });
+  // Encodes the state at this tick boundary, with the sink payloads
+  // exported from the sinks for the duration of the encode.
+  collector::Checkpoint Cut() {
+    state_.incidents = log_.Since(0);
+    state_.latency_counts = LatencyCounts(state_.incidents);
+    if (series_ != nullptr) state_.series_store = series_->Export();
+    if (provenance_ != nullptr) state_.provenance = provenance_->Export();
+    collector::Checkpoint checkpoint;
+    EncodeLiveState(state_, checkpoint);
+    DropSinkPayloads();
+    return checkpoint;
   }
-  const auto enqueue_checkpoint = [&] {
-    collector::Checkpoint ck = make_checkpoint();
-    std::lock_guard<std::mutex> lock(ck_mu);
-    ck_job = std::move(ck);
-    ck_busy = true;
-    ck_cv.notify_all();
-  };
-  // Blocks until the in-flight write (if any) lands; nullopt when no
-  // write has been issued since the last reap.
-  const auto reap_checkpoint = [&]() -> std::optional<bool> {
-    std::unique_lock<std::mutex> lock(ck_mu);
-    ck_cv.wait(lock, [&] { return !ck_busy; });
-    const std::optional<bool> result = ck_result;
-    ck_result.reset();
-    return result;
-  };
 
-  // Ladder transitions: escalation is immediate, de-escalation steps one
-  // stage per recovery window (the caller loop applies the hysteresis).
-  const auto set_shed_level = [&](int to, util::SimTime now) {
-    const int from = shed.level;
+  // Between cuts the sinks own their contents; so does an absent sink's
+  // section (encoded empty).
+  void DropSinkPayloads() {
+    state_.incidents = {};
+    state_.latency_counts = {};
+    state_.series_store = {};
+    state_.provenance = {};
+  }
+
+  void Account(std::optional<bool> written) {
+    if (!written.has_value()) return;
+    ++(*written ? state_.stats.checkpoint_writes
+                : state_.stats.checkpoint_failures);
+  }
+
+  // Routes one routing event through the (possibly shedding) bounded
+  // queue; returns its FLOW class (2 = queued, 0 = shed).
+  std::uint8_t Admit(bgp::Event event, bool sampling) {
+    if (health_ != nullptr) health_->Register(PeerComponentName(event.peer));
+    ++state_.arrival_index;
+    const ShedOptions& so = options_.shed;
+    if ((sampling && (state_.arrival_index - 1) % so.sample_stride != 0) ||
+        (backpressure_ && queue_.size() >= so.queue_capacity)) {
+      // Sampled out deterministically, or past the hard bound: drop,
+      // never grow.
+      ++state_.stats.events_shed;
+      reg_.Add(shed_id_, 1);
+      return 0;
+    }
+    queue_.push_back(std::move(event));
+    return 2;
+  }
+
+  // The peer's open feed gap (at most one), or nullptr.
+  LiveGap* OpenGap(bgp::Ipv4Addr peer) {
+    for (auto it = state_.gaps.rbegin(); it != state_.gaps.rend(); ++it) {
+      if (!it->closed && it->peer == peer) return &*it;
+    }
+    return nullptr;
+  }
+
+  bool InShedWindow(util::SimTime begin, util::SimTime end,
+                    util::SimTime tick_end) const {
+    for (const ShedWindow& w : state_.shed_windows) {
+      if (begin <= (w.closed ? w.end : tick_end) && w.begin <= end) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+#ifndef RANOMALY_NO_PROVENANCE
+  // Builds the evidence record now, after the stem dedup: the window is
+  // re-stemmed every tick, so populating inside the pipeline would pay
+  // the string-heavy sampling for mostly already-seen incidents.  Then
+  // finishes the window-relative record: keys it to the log seq the
+  // incident is about to get, rewrites sampled event ids to stream
+  // indices (component indices map 1:1 onto the window, whose entries
+  // are FLOW's class-1 entries in order), stamps per-event admission
+  // from the shed windows, and adds the sim-time latency decomposition
+  // plus the live.tick trace-exemplar linkage.  Everything here is a
+  // pure function of the replayed stream, so the ledger inherits the
+  // thread- and restart-determinism contract.
+  void AttachProvenance(Incident& inc, util::SimTime tick_end) {
+    Pipeline::PopulateProvenance(window_, provenance_->caps(), inc);
+    obs::IncidentProvenance prov = std::move(inc.provenance);
+    prov.seq = log_.size() + 1;
+    prov.trace_tick =
+        static_cast<std::uint64_t>((tick_end - state_.t0) / options_.tick);
+    prov.path.insert(prov.path.begin(),
+                     "live:tick " + std::to_string(prov.trace_tick));
+    std::vector<std::uint64_t> window_index;
+    window_index.reserve(window_.size());
+    for (std::size_t k = 0; k < state_.flow.size(); ++k) {
+      if (state_.flow[k] == 1) window_index.push_back(state_.flow_start + k);
+    }
+    for (obs::ProvenanceEvent& pe : prov.events) {
+      const std::size_t w = static_cast<std::size_t>(pe.stream_index);
+      pe.stream_index = window_index[w];
+      const util::SimTime t = window_[w].time;
+      if (InShedWindow(t, t, tick_end)) pe.admission = 1;
+    }
+    prov.stages = {{"burst-to-ingest",
+                    util::ToSeconds(inc.ingest_tick - inc.begin)},
+                   {"ingest-to-detect",
+                    util::ToSeconds(tick_end - inc.ingest_tick)},
+                   {"total", inc.detection_latency_sec}};
+    provenance_->Attach(std::move(prov));
+  }
+#endif
+
+  // Ladder transitions; every stage change is counted, logged and
+  // reported through the ingest health component.
+  void SetShedLevel(int to, util::SimTime now) {
+    const int from = state_.shed_level;
     if (to == from) return;
-    if (to >= 1 && !shed.tracer_suspended) {
-      shed.tracer_was_enabled = obs::Tracer::Global().enabled();
+    if (to >= 1 && !state_.tracer_suspended) {
+      state_.tracer_was_enabled = obs::Tracer::Global().enabled();
       obs::Tracer::Global().SetEnabled(false);
-      shed.tracer_suspended = true;
+      state_.tracer_suspended = true;
     }
-    if (to == 0 && shed.tracer_suspended) {
-      obs::Tracer::Global().SetEnabled(shed.tracer_was_enabled);
-      shed.tracer_suspended = false;
+    if (to == 0 && state_.tracer_suspended) {
+      obs::Tracer::Global().SetEnabled(state_.tracer_was_enabled);
+      state_.tracer_suspended = false;
     }
+    std::vector<ShedWindow>& windows = state_.shed_windows;
     if (to >= 3 && from < 3) {
-      shed.windows.push_back(ShedWindow{now, now, false});
+      windows.push_back(ShedWindow{now, now, false});
     } else if (to < 3 && from >= 3) {
-      for (auto it = shed.windows.rbegin(); it != shed.windows.rend(); ++it) {
+      for (auto it = windows.rbegin(); it != windows.rend(); ++it) {
         if (!it->closed) {
           it->closed = true;
           it->end = now;
@@ -663,335 +904,129 @@ LiveStats LiveRunner::Run(
         }
       }
     }
-    shed.level = to;
-    ++stats.shed_transitions;
-    reg.Add(reg.Counter("serve_shed_transitions_total" +
-                        obs::PromLabels(
-                            {{"to", util::StrPrintf("L%d", to)}})),
-            1);
-    if (health_ != nullptr) {
-      if (to == 0) {
-        health_->SetState(ingest_id, obs::HealthState::kOk, "");
-      } else {
-        health_->SetState(ingest_id, obs::HealthState::kDegraded,
-                          util::StrPrintf("load shed L%d: %s", to,
-                                          ShedLevelAction(to)));
-      }
-    }
+    state_.shed_level = to;
+    ++state_.stats.shed_transitions;
+    reg_.Add(reg_.Counter("serve_shed_transitions_total" +
+                          obs::PromLabels(
+                              {{"to", util::StrPrintf("L%d", to)}})),
+             1);
+    SetIngestHealth(to);
     RANOMALY_LOG_EVERY_N(
         util::LogLevel::kWarn, 8,
         util::StrPrintf("overload ladder %s L%d -> L%d (%s; queue %zu/%zu)",
                         to > from ? "escalated" : "recovered", from, to,
-                        ShedLevelAction(to), queue.size(),
-                        so.queue_capacity));
-  };
+                        ShedLevelAction(to), queue_.size(),
+                        options_.shed.queue_capacity));
+  }
 
-  util::SimTime tick_end =
-      stats.restored ? stats.clock + options_.tick : t0 + options_.tick;
-  while (true) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      break;
+  void SetIngestHealth(int level) {
+    if (health_ == nullptr) return;
+    if (level == 0) {
+      health_->SetState(ingest_id_, obs::HealthState::kOk, "");
+    } else {
+      health_->SetState(ingest_id_, obs::HealthState::kDegraded,
+                        util::StrPrintf("load shed L%d: %s", level,
+                                        ShedLevelAction(level)));
     }
+  }
+
+  void SetPeerHealth(bgp::Ipv4Addr peer, obs::HealthState state,
+                     std::string reason) {
+    if (health_ == nullptr) return;
+    health_->SetState(health_->Register(PeerComponentName(peer)), state,
+                      std::move(reason));
+  }
+
+  void SetSloRatio() {
+    const LiveStats& stats = state_.stats;
+    if (stats.incidents == 0) return;
+    reg_.Set(slo_id_, static_cast<double>(stats.incidents_within_slo) /
+                          static_cast<double>(stats.incidents));
+  }
+
+  // Mirrors health states into labeled gauges so they scrape.
+  void SyncHealthGauges() {
+    if (health_ == nullptr) return;
+    for (const auto& c : health_->Snapshot()) {
+      reg_.Set(reg_.Gauge("health_component_state" +
+                          obs::PromLabels({{"component", c.name}})),
+               static_cast<double>(c.state));
+    }
+  }
+
+  const LiveOptions& options_;
+  const Pipeline& pipeline_;
+  obs::HealthRegistry* const health_;
+  IncidentLog& log_;
+  obs::TimeSeriesStore* const series_;
+  obs::ProvenanceLedger* const provenance_;
+  const std::vector<bgp::Event>& events_;
+  const bool backpressure_;
+
+  LiveState state_;
+  // In-flight events (FLOW's class-1 and class-2 entries, in order),
+  // stamped with their ingest tick, and the encoded analysis window: a
+  // pure function of the window's events, rebuilt after a restore.
+  std::vector<bgp::Event> window_;
+  std::vector<bgp::Event> queue_;
+  stemming::WindowStemmer stemmer_;
+
+  std::optional<CheckpointWriter> writer_;
+  std::uint64_t next_checkpoint_tick_ = 0;
+  std::uint64_t retry_backoff_ = 0;
+
+  obs::MetricsRegistry& reg_;
+  const obs::MetricId latency_id_;
+  const obs::MetricId slo_id_;
+  const obs::MetricId ticks_id_;
+  const obs::MetricId ingested_id_;
+  const obs::MetricId incidents_id_;
+  const obs::MetricId position_id_;
+  const obs::MetricId depth_id_;
+  const obs::MetricId level_id_;
+  const obs::MetricId shed_id_;
+  const obs::MetricId restores_id_;
+  const obs::MetricId restore_failures_id_;
+  const obs::MetricId suppressed_id_;
+  obs::HealthRegistry::ComponentId replay_id_ = 0;
+  obs::HealthRegistry::ComponentId ingest_id_ = 0;
+};
+
+}  // namespace
+
+LiveStats LiveRunner::Run(
+    const collector::EventStream& stream,
+    const std::atomic<bool>* keep_going,
+    const std::function<void(const LiveStats&)>& on_tick) {
+  IncidentLog own_log;  // the run's incident store when the caller has none
+  Replay replay(options_, pipeline_, health_,
+                incidents_ != nullptr ? *incidents_ : own_log, series_,
+                provenance_, stream);
+  if (stream.empty()) return replay.Finish(true);
+  replay.Restore();
+  bool complete = false;
+  for (util::SimTime tick_end = replay.FirstTickEnd();
+       keep_going == nullptr || keep_going->load(std::memory_order_relaxed);
+       tick_end += options_.tick) {
     // One span per tick, annotated with the tick index: the incident
     // timeline's trace exemplar.  /api/incidents/timeline derives the
     // same index from detected_at, so an operator can jump from an
     // incident straight to the live.tick slice that surfaced it.
     obs::TraceSpan tick_span("live.tick");
-    tick_span.Annotate("tick", stats.ticks + 1);
-    // Ingest this tick's batch; the batch end is the ingest stamp — the
-    // earliest moment the pipeline could have analyzed these events.
-    // The level chosen at the *previous* boundary governs L3 sampling,
-    // so shedding is a pure function of checkpointed state.
-    const int ingest_level = shed.level;
-    while (next < events.size() && events[next].time < tick_end) {
-      bgp::Event event = events[next];
-      ++next;
-      event.ingest_tick = tick_end;
-      board.Observe(event);
-      ++stats.events_ingested;
-      reg.Add(ingested_id, 1);
-      if (event.type == bgp::EventType::kFeedGap) {
-        bool already_open = false;
-        for (const LiveGap& g : gaps) {
-          already_open |= !g.closed && g.peer == event.peer;
-        }
-        if (!already_open) {
-          gaps.push_back(LiveGap{event.peer, event.time, event.time, false});
-        }
-        peer_health(event.peer, obs::HealthState::kDegraded,
-                    util::StrPrintf("feed gap open since %.0fs",
-                                    util::ToSeconds(event.time)));
-        continue;  // markers are never queued (or shed): bookkeeping only
-      }
-      if (event.type == bgp::EventType::kResync) {
-        for (auto it = gaps.rbegin(); it != gaps.rend(); ++it) {
-          if (!it->closed && it->peer == event.peer) {
-            it->closed = true;
-            it->end = event.time;
-            break;
-          }
-        }
-        peer_health(event.peer, obs::HealthState::kOk, "");
-        continue;
-      }
-      if (health_ != nullptr) {
-        health_->Register(PeerComponentName(event.peer));
-      }
-      // Routing event: through the (possibly shedding) bounded queue.
-      ++shed.arrival_index;
-      if (backpressure && ingest_level >= 3 &&
-          (shed.arrival_index - 1) % so.sample_stride != 0) {
-        ++stats.events_shed;  // sampled out deterministically
-        reg.Add(shed_id, 1);
-        continue;
-      }
-      if (backpressure && queue.size() >= so.queue_capacity) {
-        ++stats.events_shed;  // the bound is hard: drop, never grow
-        reg.Add(shed_id, 1);
-        continue;
-      }
-      queue.push_back(std::move(event));
-      queue_idx.push_back(static_cast<std::uint64_t>(next - 1));
-    }
-
-    // Degradation ladder: compare end-of-ingest depth to the watermarks.
-    if (backpressure) {
-      const double fill = static_cast<double>(queue.size()) /
-                          static_cast<double>(so.queue_capacity);
-      int target = 0;
-      if (fill >= so.l3_watermark) {
-        target = 3;
-      } else if (fill >= so.l2_watermark) {
-        target = 2;
-      } else if (fill >= so.l1_watermark) {
-        target = 1;
-      }
-      if (target > shed.level) {
-        set_shed_level(target, tick_end);
-        shed.calm_ticks = 0;
-      } else if (target < shed.level) {
-        if (++shed.calm_ticks >= so.recovery_ticks) {
-          set_shed_level(shed.level - 1, tick_end);
-          shed.calm_ticks = 0;
-        }
-      } else {
-        shed.calm_ticks = 0;
-      }
-    }
-
-    // Slide the window, then drain the queue into it — in that order, so
-    // a backlogged event older than the window still gets analyzed once.
-    const util::SimTime window_begin = tick_end - options_.window;
-    const auto keep_from = std::find_if(
-        window.begin(), window.end(),
-        [window_begin](const bgp::Event& e) { return e.time >= window_begin; });
-    const auto evicted = keep_from - window.begin();
-    window.erase(window.begin(), keep_from);
-    window_idx.erase(window_idx.begin(), window_idx.begin() + evicted);
-    stemmer.PopFront(static_cast<std::size_t>(evicted));
-    std::size_t drain = queue.size();
-    if (backpressure && so.service_rate > 0) {
-      drain = std::min(drain, so.service_rate);
-    }
-    window.insert(window.end(),
-                  std::make_move_iterator(queue.begin()),
-                  std::make_move_iterator(queue.begin() +
-                                          static_cast<std::ptrdiff_t>(drain)));
-    stemmer.PushBack(std::span<const bgp::Event>(window).last(drain));
-    queue.erase(queue.begin(),
-                queue.begin() + static_cast<std::ptrdiff_t>(drain));
-    window_idx.insert(window_idx.end(), queue_idx.begin(),
-                      queue_idx.begin() + static_cast<std::ptrdiff_t>(drain));
-    queue_idx.erase(queue_idx.begin(),
-                    queue_idx.begin() + static_cast<std::ptrdiff_t>(drain));
-
-    const bool final_tick = next >= events.size() && queue.empty();
-    // L2+: halve the analysis cadence (every other tick covers a doubled
-    // batch).  The final tick always analyzes so nothing is left behind.
-    const bool analyze_now =
-        shed.level < 2 || final_tick || stats.ticks % 2 == 0;
-    if (analyze_now) {
-      for (Incident& inc : analyze_window()) {
-        if (!seen_stems.insert(inc.stem_key).second) continue;  // known
-        inc.detected_at = tick_end;
-        inc.detection_latency_sec = util::ToSeconds(tick_end - inc.begin);
-        for (const LiveGap& gap : gaps) {
-          const util::SimTime gap_end = gap.closed ? gap.end : tick_end;
-          if (inc.begin <= gap_end && gap.begin <= inc.end) {
-            inc.feed_degraded = true;
-            inc.summary += " [feed-degraded]";
-            break;
-          }
-        }
-        for (const ShedWindow& w : shed.windows) {
-          const util::SimTime w_end = w.closed ? w.end : tick_end;
-          if (inc.begin <= w_end && w.begin <= inc.end) {
-            inc.load_shed = true;
-            inc.summary += " [load-shed]";
-            break;
-          }
-        }
-        reg.Observe(latency_id, inc.detection_latency_sec);
-        ++latency_counts[LatencyBucket(latency_bounds,
-                                       inc.detection_latency_sec)];
-        reg.Add(incidents_id, 1);
-        ++stats.incidents;
-        if (inc.detection_latency_sec <= options_.slo_target_sec) {
-          ++stats.incidents_within_slo;
-        }
-#ifndef RANOMALY_NO_PROVENANCE
-        if (provenance_ != nullptr) {
-          // Build the evidence record now, after the stem dedup: the
-          // window is re-stemmed every tick, so populating inside the
-          // pipeline would pay the string-heavy sampling for mostly
-          // already-seen incidents.  Then finish
-          // the window-relative record: key it to the log seq, rewrite
-          // sampled event ids to stream indices (live windows never
-          // contain markers, so component indices map 1:1 through
-          // window_idx), stamp per-event admission from the shed
-          // windows, and add the sim-time latency decomposition plus
-          // the live.tick trace-exemplar linkage.  Everything here is
-          // a pure function of the replayed stream, so the ledger
-          // inherits the thread- and restart-determinism contract.
-          Pipeline::PopulateProvenance(window, provenance_->caps(), inc);
-          obs::IncidentProvenance prov = std::move(inc.provenance);
-          prov.seq = logged.size() + 1;
-          prov.trace_tick =
-              static_cast<std::uint64_t>((tick_end - t0) / options_.tick);
-          prov.path.insert(prov.path.begin(),
-                           "live:tick " + std::to_string(prov.trace_tick));
-          for (obs::ProvenanceEvent& pe : prov.events) {
-            const std::size_t widx = static_cast<std::size_t>(pe.stream_index);
-            pe.stream_index = window_idx[widx];
-            const util::SimTime t = window[widx].time;
-            for (const ShedWindow& w : shed.windows) {
-              const util::SimTime w_end = w.closed ? w.end : tick_end;
-              if (w.begin <= t && t <= w_end) {
-                pe.admission = 1;
-                break;
-              }
-            }
-          }
-          prov.stages = {{"burst-to-ingest",
-                          util::ToSeconds(inc.ingest_tick - inc.begin)},
-                         {"ingest-to-detect",
-                          util::ToSeconds(tick_end - inc.ingest_tick)},
-                         {"total", inc.detection_latency_sec}};
-          provenance_->Attach(std::move(prov));
-        }
-        inc.provenance = {};
-#endif
-        logged.push_back(IncidentLog::Entry{logged.size() + 1, inc});
-        if (incidents_ != nullptr) incidents_->Append(std::move(inc));
-      }
-      if (stats.incidents > 0) {
-        reg.Set(slo_id, static_cast<double>(stats.incidents_within_slo) /
-                            static_cast<double>(stats.incidents));
-      }
-    }
-
-    ++stats.ticks;
-    stats.clock = tick_end;
-    stats.shed_level = shed.level;
-    stats.queue_depth = queue.size();
-    reg.Add(ticks_id, 1);
-    reg.Set(position_id, util::ToSeconds(tick_end));
-    reg.Set(depth_id, static_cast<double>(queue.size()));
-    reg.Set(level_id, static_cast<double>(shed.level));
-    reg.Set(suppressed_id, static_cast<double>(util::SuppressedLogLines()));
-    if (health_ != nullptr) health_->Heartbeat(replay_id);
-    sync_health_gauges();
-    // Sample the registry into the dashboard history at the boundary —
-    // after every metric for this tick has landed and before any
-    // checkpoint is cut, so each snapshot carries its own tick's point.
-    if (series_ != nullptr) series_->Sample(reg, tick_end);
-
-    if (checkpointing && stats.ticks >= next_checkpoint_tick) {
-      const std::optional<bool> previous = reap_checkpoint();
-      if (previous.has_value()) {
-        if (*previous) {
-          ++stats.checkpoint_writes;
-          retry_backoff = 0;
-        } else {
-          ++stats.checkpoint_failures;
-        }
-      }
-      if (!previous.has_value() || *previous) {
-        enqueue_checkpoint();
-        next_checkpoint_tick = stats.ticks + options_.checkpoint_every_ticks;
-      } else {
-        // Keep analyzing; retry with exponential backoff so a full disk
-        // does not turn the daemon into a log firehose.
-        retry_backoff =
-            retry_backoff == 0
-                ? 1
-                : std::min(retry_backoff * 2,
-                           options_.checkpoint_retry_max_backoff_ticks);
-        next_checkpoint_tick = stats.ticks + retry_backoff;
-        RANOMALY_LOG_EVERY_N(
-            util::LogLevel::kWarn, 4,
-            util::StrPrintf("checkpoint write to %s failed at tick %llu; "
-                            "retrying in %llu ticks",
-                            options_.checkpoint_path.c_str(),
-                            static_cast<unsigned long long>(stats.ticks),
-                            static_cast<unsigned long long>(retry_backoff)));
-      }
-    }
-
-    if (on_tick) on_tick(stats);
+    tick_span.Annotate("tick", replay.stats().ticks + 1);
+    replay.Ingest(tick_end);
+    replay.Ladder(tick_end);
+    const bool final_tick = replay.Slide(tick_end);
+    replay.Analyze(tick_end, final_tick);
+    replay.Publish(tick_end);
+    replay.Checkpoint();
+    if (on_tick) on_tick(replay.stats());
     if (final_tick) {
       complete = true;
       break;
     }
-    tick_end += options_.tick;
   }
-
-  if (health_ != nullptr && complete) {
-    // The replay is done: it no longer makes progress, so stall detection
-    // must stop accusing it.
-    health_->SetHeartbeatDeadline(replay_id, 0.0);
-    health_->SetState(replay_id, obs::HealthState::kOk, "replay complete");
-    sync_health_gauges();
-  }
-  // Final checkpoint: the graceful-drain contract (and completion) leave
-  // the last tick boundary durable.  Settle the in-flight background
-  // write first, then write synchronously — a handful of attempts rides
-  // out a transient fault; past that the stream replay is the fallback.
-  if (checkpointing) {
-    if (const std::optional<bool> previous = reap_checkpoint();
-        previous.has_value()) {
-      if (*previous) {
-        ++stats.checkpoint_writes;
-      } else {
-        ++stats.checkpoint_failures;
-      }
-    }
-    if (stats.ticks > 0) {
-      bool durable = false;
-      for (int attempt = 0; attempt < 3 && !durable; ++attempt) {
-        durable = write_checkpoint();
-      }
-      if (!durable) {
-        RANOMALY_LOG(util::LogLevel::kError,
-                     util::StrPrintf("final checkpoint write to %s failed; a "
-                                     "restart will replay from the last "
-                                     "durable snapshot",
-                                     options_.checkpoint_path.c_str()));
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(ck_mu);
-      ck_stop = true;
-      ck_cv.notify_all();
-    }
-    ck_writer.join();
-  }
-  if (shed.tracer_suspended) {
-    // Leave the tracer as the caller configured it, not as overload left it.
-    obs::Tracer::Global().SetEnabled(shed.tracer_was_enabled);
-  }
-  return stats;
+  return replay.Finish(complete);
 }
 
 // ---------------------------------------------------------------------------

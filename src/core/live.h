@@ -106,32 +106,27 @@ class PeerBoard {
     double uptime_sec = 0.0;        // observed span minus in-gap time
   };
 
-  void Observe(const bgp::Event& event);
+  // One peer's row plus its open-gap bookkeeping; also what the PEER
+  // checkpoint section persists, so a restored board continues
+  // bit-identically.
+  struct State {
+    Row row;
+    util::SimTime gap_open = -1;   // begin of the currently open gap
+    double gap_sec = 0.0;          // accumulated in-gap seconds
+  };
+
+  void Observe(const bgp::Event& event) { Observe(peers_, event); }
+  // The same over caller-held states in observation order (the live
+  // runner keeps its board in its checkpointed state).
+  static void Observe(std::vector<State>& peers, const bgp::Event& event);
   // Closes the books at `end` (open gaps accrue degraded time up to it).
   void Finish(util::SimTime end);
 
   // Rows sorted by peer address.
   std::vector<Row> Rows() const;
 
-  // Checkpoint export/restore: the full internal state (rows plus open
-  // gap bookkeeping) in observation order, so a restored board continues
-  // bit-identically.
-  struct Persisted {
-    Row row;
-    util::SimTime gap_open = -1;   // begin of the currently open gap
-    double gap_sec = 0.0;          // accumulated in-gap seconds
-  };
-  std::vector<Persisted> Export() const;
-  void Restore(std::vector<Persisted> states);
-
  private:
-  struct State {
-    Row row;
-    util::SimTime gap_open = -1;   // begin of the currently open gap
-    double gap_sec = 0.0;          // accumulated in-gap seconds
-  };
-  std::vector<std::pair<std::uint32_t, State>> peers_;  // keyed by addr
-  State& Of(bgp::Ipv4Addr peer);
+  std::vector<State> peers_;
 };
 
 // Renders the `ranomaly peers` scoreboard table.
@@ -223,7 +218,9 @@ struct LiveStats {
 };
 
 // Drives the tick replay.  Health/incident/series/provenance sinks are
-// borrowed, not owned; pass nullptr to skip any.  Metrics always record
+// borrowed, not owned; pass nullptr to skip any (without an incident log
+// a run keeps a private one, which its checkpoints encode).  Each tick
+// runs the phases of DESIGN.md "Live loop phases".  Metrics always record
 // to MetricsRegistry::Global().  With a series store attached, the
 // runner samples the registry into it at every tick boundary (sim-time
 // stamps), restores its history from the checkpoint's SERS section, and

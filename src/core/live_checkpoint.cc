@@ -44,12 +44,9 @@ bool GetString(io::Reader& r, std::string& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-section encoders.  Every section leads with its layout version.
+// Per-section encoders; EncodeLiveState leads each with its layout version.
 
-std::string EncodeLive(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+void EncodeLive(const LiveState& s, io::StringSink& os) {
   io::Put<std::int64_t>(os, s.t0);
   io::Put<std::uint64_t>(os, s.next_event);
   io::Put<std::uint64_t>(os, s.stats.ticks);
@@ -61,13 +58,9 @@ std::string EncodeLive(const LiveCheckpointState& s) {
   io::Put<std::uint64_t>(os, s.stats.shed_transitions);
   io::Put<std::uint64_t>(os, s.stats.checkpoint_writes);
   io::Put<std::uint64_t>(os, s.stats.checkpoint_failures);
-  return out;
 }
 
-std::string EncodeShed(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+void EncodeShed(const LiveState& s, io::StringSink& os) {
   io::Put<std::uint8_t>(os, static_cast<std::uint8_t>(s.shed_level));
   io::Put<std::uint64_t>(os, s.calm_ticks);
   io::Put<std::uint64_t>(os, s.arrival_index);
@@ -79,25 +72,17 @@ std::string EncodeShed(const LiveCheckpointState& s) {
     io::Put<std::int64_t>(os, w.end);
     io::Put<std::uint8_t>(os, w.closed ? 1 : 0);
   }
-  return out;
 }
 
-std::string EncodeStem(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+void EncodeStem(const LiveState& s, io::StringSink& os) {
   io::Put<std::uint64_t>(os, s.seen_stems.size());
   for (const auto& [a, b] : s.seen_stems) {
     io::Put<std::uint64_t>(os, a);
     io::Put<std::uint64_t>(os, b);
   }
-  return out;
 }
 
-std::string EncodeGaps(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+void EncodeGaps(const LiveState& s, io::StringSink& os) {
   io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(s.gaps.size()));
   for (const LiveGap& g : s.gaps) {
     io::Put<std::uint32_t>(os, g.peer.value());
@@ -105,15 +90,11 @@ std::string EncodeGaps(const LiveCheckpointState& s) {
     io::Put<std::int64_t>(os, g.end);
     io::Put<std::uint8_t>(os, g.closed ? 1 : 0);
   }
-  return out;
 }
 
-std::string EncodePeers(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+void EncodePeers(const LiveState& s, io::StringSink& os) {
   io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(s.peers.size()));
-  for (const PeerBoard::Persisted& p : s.peers) {
+  for (const PeerBoard::State& p : s.peers) {
     io::Put<std::uint32_t>(os, p.row.peer.value());
     io::Put<std::uint8_t>(os, p.row.degraded ? 1 : 0);
     io::Put<std::uint64_t>(os, p.row.announces);
@@ -127,16 +108,11 @@ std::string EncodePeers(const LiveCheckpointState& s) {
     io::Put<std::int64_t>(os, p.gap_open);
     PutF64(os, p.gap_sec);
   }
-  return out;
 }
 
 // Admission classes pack four to a byte, entry i in bits (i%4)*2..+1 of
 // byte i/4; padding bits of a partial final byte are zero.
-std::string EncodeFlow(const LiveCheckpointState& s) {
-  std::string out;
-  out.reserve(32 + s.flow.size() / 4);
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+void EncodeFlow(const LiveState& s, io::StringSink& os) {
   io::Put<std::uint64_t>(os, s.flow_start);
   io::Put<std::uint64_t>(os, s.flow.size());
   std::uint8_t packed = 0;
@@ -148,15 +124,11 @@ std::string EncodeFlow(const LiveCheckpointState& s) {
     }
   }
   if ((s.flow.size() & 3) != 0) io::Put<std::uint8_t>(os, packed);
-  return out;
 }
 
-std::string EncodeIncidents(const std::vector<IncidentLog::Entry>& incidents) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
-  io::Put<std::uint64_t>(os, incidents.size());
-  for (const IncidentLog::Entry& e : incidents) {
+void EncodeIncidents(const LiveState& s, io::StringSink& os) {
+  io::Put<std::uint64_t>(os, s.incidents.size());
+  for (const IncidentLog::Entry& e : s.incidents) {
     const Incident& inc = e.incident;
     io::Put<std::uint64_t>(os, e.seq);
     io::Put<std::uint8_t>(os, static_cast<std::uint8_t>(inc.kind));
@@ -176,26 +148,18 @@ std::string EncodeIncidents(const std::vector<IncidentLog::Entry>& incidents) {
     io::Put<std::int64_t>(os, inc.detected_at);
     PutF64(os, inc.detection_latency_sec);
   }
-  return out;
 }
 
-std::string EncodeSloHistogram(const LiveCheckpointState& s) {
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+void EncodeSloHistogram(const LiveState& s, io::StringSink& os) {
   io::Put<std::uint32_t>(os,
                          static_cast<std::uint32_t>(s.latency_counts.size()));
   for (const std::uint64_t c : s.latency_counts) {
     io::Put<std::uint64_t>(os, c);
   }
-  return out;
 }
 
-std::string EncodeSeriesStore(const LiveCheckpointState& s) {
+void EncodeSeriesStore(const LiveState& s, io::StringSink& os) {
   const obs::TimeSeriesStore::Persisted& st = s.series_store;
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
   io::Put<std::uint32_t>(os, static_cast<std::uint32_t>(st.tiers.size()));
   for (const obs::TierSpec& tier : st.tiers) {
     io::Put<std::int64_t>(os, tier.resolution_us);
@@ -217,14 +181,10 @@ std::string EncodeSeriesStore(const LiveCheckpointState& s) {
       }
     }
   }
-  return out;
 }
 
-std::string EncodeProvenance(const LiveCheckpointState& s) {
+void EncodeProvenance(const LiveState& s, io::StringSink& os) {
   const obs::ProvenanceLedger::Persisted& st = s.provenance;
-  std::string out;
-  io::StringSink os(out);
-  io::Put<std::uint8_t>(os, kSectionLayoutVersion);
   io::Put<std::uint32_t>(os, st.caps.max_incidents);
   io::Put<std::uint32_t>(os, st.caps.max_events);
   io::Put<std::uint32_t>(os, st.caps.max_classes);
@@ -266,50 +226,28 @@ std::string EncodeProvenance(const LiveCheckpointState& s) {
     }
     io::Put<std::uint64_t>(os, r.trace_tick);
   }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Per-section decoders.  Each returns an empty string on success or a
-// human-readable reason; DecodeLiveState prefixes the section tag.
+// Per-section decoders, handed a reader past the layout version.  Each
+// returns an empty string on success or a human-readable reason;
+// DecodeLiveState checks the version and trailing bytes and prefixes
+// the section tag.
 
-struct SectionReader {
-  explicit SectionReader(const std::string& bytes)
-      : stream(bytes), reader(stream) {}
-  std::istringstream stream;
-  io::Reader reader;
-
-  bool AtEnd() {
-    return stream.peek() == std::istringstream::traits_type::eof();
-  }
-};
-
-std::string CheckLayout(SectionReader& sr) {
-  std::uint8_t layout = 0;
-  if (!sr.reader.Get(layout)) return "truncated layout version";
-  if (layout != kSectionLayoutVersion) {
-    return util::StrPrintf("unsupported layout version %u", layout);
-  }
-  return "";
-}
-
-std::string DecodeLive(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeLive(io::Reader& reader, LiveState& s) {
   std::int64_t t0 = 0, clock = 0;
-  if (!sr.reader.Get(t0) || !sr.reader.Get(s.next_event) ||
-      !sr.reader.Get(s.stats.ticks) || !sr.reader.Get(s.stats.events_ingested) ||
-      !sr.reader.Get(s.stats.incidents) ||
-      !sr.reader.Get(s.stats.incidents_within_slo) || !sr.reader.Get(clock) ||
-      !sr.reader.Get(s.stats.events_shed) ||
-      !sr.reader.Get(s.stats.shed_transitions) ||
-      !sr.reader.Get(s.stats.checkpoint_writes) ||
-      !sr.reader.Get(s.stats.checkpoint_failures)) {
+  if (!reader.Get(t0) || !reader.Get(s.next_event) ||
+      !reader.Get(s.stats.ticks) || !reader.Get(s.stats.events_ingested) ||
+      !reader.Get(s.stats.incidents) ||
+      !reader.Get(s.stats.incidents_within_slo) || !reader.Get(clock) ||
+      !reader.Get(s.stats.events_shed) ||
+      !reader.Get(s.stats.shed_transitions) ||
+      !reader.Get(s.stats.checkpoint_writes) ||
+      !reader.Get(s.stats.checkpoint_failures)) {
     return "truncated";
   }
   s.t0 = t0;
   s.stats.clock = clock;
-  if (!sr.AtEnd()) return "trailing bytes";
   if (s.stats.clock < s.t0) return "clock precedes t0";
   if (s.stats.incidents_within_slo > s.stats.incidents) {
     return "incidents_within_slo exceeds incidents";
@@ -317,14 +255,12 @@ std::string DecodeLive(const std::string& bytes, LiveCheckpointState& s) {
   return "";
 }
 
-std::string DecodeShed(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeShed(io::Reader& reader, LiveState& s) {
   std::uint8_t level = 0, suspended = 0, was_enabled = 0;
   std::uint32_t count = 0;
-  if (!sr.reader.Get(level) || !sr.reader.Get(s.calm_ticks) ||
-      !sr.reader.Get(s.arrival_index) || !sr.reader.Get(suspended) ||
-      !sr.reader.Get(was_enabled) || !sr.reader.Get(count)) {
+  if (!reader.Get(level) || !reader.Get(s.calm_ticks) ||
+      !reader.Get(s.arrival_index) || !reader.Get(suspended) ||
+      !reader.Get(was_enabled) || !reader.Get(count)) {
     return "truncated";
   }
   if (level > 3) return util::StrPrintf("shed level %u out of range", level);
@@ -338,8 +274,8 @@ std::string DecodeShed(const std::string& bytes, LiveCheckpointState& s) {
     ShedWindow w;
     std::int64_t begin = 0, end = 0;
     std::uint8_t closed = 0;
-    if (!sr.reader.Get(begin) || !sr.reader.Get(end) ||
-        !sr.reader.Get(closed)) {
+    if (!reader.Get(begin) || !reader.Get(end) ||
+        !reader.Get(closed)) {
       return util::StrPrintf("truncated at window %u", i);
     }
     if (closed > 1) return "bad boolean";
@@ -349,21 +285,18 @@ std::string DecodeShed(const std::string& bytes, LiveCheckpointState& s) {
     w.closed = closed != 0;
     s.shed_windows.push_back(w);
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   return "";
 }
 
-std::string DecodeStem(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeStem(io::Reader& reader, LiveState& s) {
   std::uint64_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
+  if (!reader.Get(count)) return "truncated";
   if (count > kMaxEntries) return "implausible stem count";
   s.seen_stems.clear();
   std::pair<std::uint64_t, std::uint64_t> prev{0, 0};
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t a = 0, b = 0;
-    if (!sr.reader.Get(a) || !sr.reader.Get(b)) {
+    if (!reader.Get(a) || !reader.Get(b)) {
       return util::StrPrintf("truncated at stem %llu",
                              static_cast<unsigned long long>(i));
     }
@@ -377,17 +310,14 @@ std::string DecodeStem(const std::string& bytes, LiveCheckpointState& s) {
                              static_cast<unsigned long long>(i));
     }
     prev = key;
-    s.seen_stems.push_back(key);
+    s.seen_stems.insert(s.seen_stems.end(), key);
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   return "";
 }
 
-std::string DecodeGaps(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeGaps(io::Reader& reader, LiveState& s) {
   std::uint32_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
+  if (!reader.Get(count)) return "truncated";
   if (count > kMaxEntries) return "implausible gap count";
   s.gaps.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -395,8 +325,8 @@ std::string DecodeGaps(const std::string& bytes, LiveCheckpointState& s) {
     std::uint32_t peer = 0;
     std::int64_t begin = 0, end = 0;
     std::uint8_t closed = 0;
-    if (!sr.reader.Get(peer) || !sr.reader.Get(begin) || !sr.reader.Get(end) ||
-        !sr.reader.Get(closed)) {
+    if (!reader.Get(peer) || !reader.Get(begin) || !reader.Get(end) ||
+        !reader.Get(closed)) {
       return util::StrPrintf("truncated at gap %u", i);
     }
     if (closed > 1) return "bad boolean";
@@ -407,28 +337,25 @@ std::string DecodeGaps(const std::string& bytes, LiveCheckpointState& s) {
     g.closed = closed != 0;
     s.gaps.push_back(g);
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   return "";
 }
 
-std::string DecodePeers(const std::string& bytes, LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodePeers(io::Reader& reader, LiveState& s) {
   std::uint32_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
+  if (!reader.Get(count)) return "truncated";
   if (count > kMaxEntries) return "implausible peer count";
   s.peers.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
-    PeerBoard::Persisted p;
+    PeerBoard::State p;
     std::uint32_t peer = 0;
     std::uint8_t degraded = 0;
     std::int64_t first_seen = 0, last_seen = 0, last_gap = 0, gap_open = 0;
-    if (!sr.reader.Get(peer) || !sr.reader.Get(degraded) ||
-        !sr.reader.Get(p.row.announces) || !sr.reader.Get(p.row.withdraws) ||
-        !sr.reader.Get(p.row.reconnects) || !sr.reader.Get(p.row.gaps) ||
-        !sr.reader.Get(p.row.quarantined) || !sr.reader.Get(first_seen) ||
-        !sr.reader.Get(last_seen) || !sr.reader.Get(last_gap) ||
-        !sr.reader.Get(gap_open) || !GetF64(sr.reader, p.gap_sec)) {
+    if (!reader.Get(peer) || !reader.Get(degraded) ||
+        !reader.Get(p.row.announces) || !reader.Get(p.row.withdraws) ||
+        !reader.Get(p.row.reconnects) || !reader.Get(p.row.gaps) ||
+        !reader.Get(p.row.quarantined) || !reader.Get(first_seen) ||
+        !reader.Get(last_seen) || !reader.Get(last_gap) ||
+        !reader.Get(gap_open) || !GetF64(reader, p.gap_sec)) {
       return util::StrPrintf("truncated at peer %u", i);
     }
     if (degraded > 1) return "bad boolean";
@@ -447,29 +374,25 @@ std::string DecodePeers(const std::string& bytes, LiveCheckpointState& s) {
     p.gap_open = gap_open;
     s.peers.push_back(std::move(p));
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   return "";
 }
 
-std::string DecodeFlow(const std::string& bytes, std::uint64_t next_event,
-                       LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeFlow(io::Reader& reader, LiveState& s) {
   std::uint64_t count = 0;
-  if (!sr.reader.Get(s.flow_start) || !sr.reader.Get(count)) {
+  if (!reader.Get(s.flow_start) || !reader.Get(count)) {
     return "truncated";
   }
   if (count > kMaxEntries) return "implausible in-flight count";
   // The range must butt up against the LIVE cursor: every event before
   // flow_start is settled, every event from next_event on is unread.
-  if (s.flow_start > next_event || next_event - s.flow_start != count) {
+  if (s.flow_start > s.next_event || s.next_event - s.flow_start != count) {
     return "range disagrees with the LIVE cursor";
   }
   s.flow.assign(static_cast<std::size_t>(count), 0);
   bool queue_seen = false;
   std::uint8_t packed = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    if ((i & 3) == 0 && !sr.reader.Get(packed)) return "truncated";
+    if ((i & 3) == 0 && !reader.Get(packed)) return "truncated";
     const std::uint8_t cls = (packed >> ((i & 3) * 2)) & 3;
     if (cls > 2) {
       return util::StrPrintf("bad admission class at entry %llu",
@@ -488,16 +411,12 @@ std::string DecodeFlow(const std::string& bytes, std::uint64_t next_event,
   if ((count & 3) != 0 && (packed >> ((count & 3) * 2)) != 0) {
     return "nonzero padding bits";
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   return "";
 }
 
-std::string DecodeIncidents(const std::string& bytes, util::SimTime clock,
-                            LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeIncidents(io::Reader& reader, LiveState& s) {
   std::uint64_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
+  if (!reader.Get(count)) return "truncated";
   if (count > kMaxEntries) return "implausible incident count";
   s.incidents.clear();
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -506,17 +425,17 @@ std::string DecodeIncidents(const std::string& bytes, util::SimTime clock,
     std::uint8_t kind = 0, feed_degraded = 0, load_shed = 0;
     std::int64_t begin = 0, end = 0, ingest_tick = 0, detected_at = 0;
     std::uint64_t event_count = 0, prefix_count = 0;
-    if (!sr.reader.Get(e.seq) || !sr.reader.Get(kind) ||
-        !sr.reader.Get(begin) || !sr.reader.Get(end) ||
-        !sr.reader.Get(event_count) || !GetF64(sr.reader, inc.event_fraction) ||
-        !sr.reader.Get(prefix_count) || !sr.reader.Get(inc.stem_key.first) ||
-        !sr.reader.Get(inc.stem_key.second) ||
-        !GetString(sr.reader, inc.stem_label) ||
-        !GetString(sr.reader, inc.top_sequence) ||
-        !GetString(sr.reader, inc.summary) || !sr.reader.Get(feed_degraded) ||
-        !sr.reader.Get(load_shed) || !sr.reader.Get(ingest_tick) ||
-        !sr.reader.Get(detected_at) ||
-        !GetF64(sr.reader, inc.detection_latency_sec)) {
+    if (!reader.Get(e.seq) || !reader.Get(kind) ||
+        !reader.Get(begin) || !reader.Get(end) ||
+        !reader.Get(event_count) || !GetF64(reader, inc.event_fraction) ||
+        !reader.Get(prefix_count) || !reader.Get(inc.stem_key.first) ||
+        !reader.Get(inc.stem_key.second) ||
+        !GetString(reader, inc.stem_label) ||
+        !GetString(reader, inc.top_sequence) ||
+        !GetString(reader, inc.summary) || !reader.Get(feed_degraded) ||
+        !reader.Get(load_shed) || !reader.Get(ingest_tick) ||
+        !reader.Get(detected_at) ||
+        !GetF64(reader, inc.detection_latency_sec)) {
       return util::StrPrintf("truncated at entry %llu",
                              static_cast<unsigned long long>(i));
     }
@@ -529,7 +448,7 @@ std::string DecodeIncidents(const std::string& bytes, util::SimTime clock,
                              static_cast<unsigned long long>(i));
     }
     if (feed_degraded > 1 || load_shed > 1) return "bad boolean";
-    if (end < begin || detected_at > clock ||
+    if (end < begin || detected_at > s.stats.clock ||
         !std::isfinite(inc.detection_latency_sec) ||
         inc.detection_latency_sec < 0 || !std::isfinite(inc.event_fraction)) {
       return util::StrPrintf("implausible time fields at entry %llu",
@@ -551,59 +470,51 @@ std::string DecodeIncidents(const std::string& bytes, util::SimTime clock,
     inc.detected_at = detected_at;
     s.incidents.push_back(std::move(e));
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   return "";
 }
 
-std::string DecodeSloHistogram(const std::string& bytes,
-                               LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeSloHistogram(io::Reader& reader, LiveState& s) {
   std::uint32_t count = 0;
-  if (!sr.reader.Get(count)) return "truncated";
+  if (!reader.Get(count)) return "truncated";
   const std::size_t want = DetectionLatencyBounds().size() + 1;
   if (count != want) {
     return util::StrPrintf("bucket count %u != %zu", count, want);
   }
   s.latency_counts.assign(count, 0);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (!sr.reader.Get(s.latency_counts[i])) return "truncated";
+    if (!reader.Get(s.latency_counts[i])) return "truncated";
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   return "";
 }
 
-std::string DecodeSeriesStore(const std::string& bytes, util::SimTime clock,
-                              LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeSeriesStore(io::Reader& reader, LiveState& s) {
   obs::TimeSeriesStore::Persisted st;
   std::uint32_t tier_count = 0;
-  if (!sr.reader.Get(tier_count)) return "truncated";
+  if (!reader.Get(tier_count)) return "truncated";
   if (tier_count > 16) return "implausible tier count";
   st.tiers.resize(tier_count);
   for (std::uint32_t i = 0; i < tier_count; ++i) {
-    if (!sr.reader.Get(st.tiers[i].resolution_us) ||
-        !sr.reader.Get(st.tiers[i].capacity)) {
+    if (!reader.Get(st.tiers[i].resolution_us) ||
+        !reader.Get(st.tiers[i].capacity)) {
       return util::StrPrintf("truncated at tier %u", i);
     }
   }
   std::uint32_t series_count = 0;
-  if (!sr.reader.Get(st.last_sample) || !sr.reader.Get(st.dropped_series) ||
-      !sr.reader.Get(series_count)) {
+  if (!reader.Get(st.last_sample) || !reader.Get(st.dropped_series) ||
+      !reader.Get(series_count)) {
     return "truncated";
   }
   if (series_count > kMaxEntries) return "implausible series count";
   st.series.resize(series_count);
   for (std::uint32_t i = 0; i < series_count; ++i) {
     obs::TimeSeriesStore::PersistedSeries& series = st.series[i];
-    if (!GetString(sr.reader, series.name) || !sr.reader.Get(series.kind)) {
+    if (!GetString(reader, series.name) || !reader.Get(series.kind)) {
       return util::StrPrintf("truncated at series %u", i);
     }
     series.tiers.resize(tier_count);
     for (std::uint32_t tier = 0; tier < tier_count; ++tier) {
       std::uint32_t points = 0;
-      if (!sr.reader.Get(points)) {
+      if (!reader.Get(points)) {
         return util::StrPrintf("truncated at series %u tier %u", i, tier);
       }
       if (points > st.tiers[tier].capacity) {
@@ -612,33 +523,31 @@ std::string DecodeSeriesStore(const std::string& bytes, util::SimTime clock,
       series.tiers[tier].resize(points);
       for (std::uint32_t p = 0; p < points; ++p) {
         obs::SeriesPoint& pt = series.tiers[tier][p];
-        if (!sr.reader.Get(pt.t) || !GetF64(sr.reader, pt.value) ||
-            !GetF64(sr.reader, pt.min) || !GetF64(sr.reader, pt.max)) {
+        if (!reader.Get(pt.t) || !GetF64(reader, pt.value) ||
+            !GetF64(reader, pt.min) || !GetF64(reader, pt.max)) {
           return util::StrPrintf("truncated at series %u tier %u point %u", i,
                                  tier, p);
         }
       }
     }
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   // Structural invariants (alignment, ordering, finiteness) live with
   // the store so the decoder and Restore can never disagree.
   if (auto err = obs::TimeSeriesStore::Validate(st); !err.empty()) return err;
-  if (st.last_sample > clock) return "last sample after the tick boundary";
+  if (st.last_sample > s.stats.clock) {
+    return "last sample after the tick boundary";
+  }
   s.series_store = std::move(st);
   return "";
 }
 
-std::string DecodeProvenance(const std::string& bytes,
-                             LiveCheckpointState& s) {
-  SectionReader sr(bytes);
-  if (auto err = CheckLayout(sr); !err.empty()) return err;
+std::string DecodeProvenance(io::Reader& reader, LiveState& s) {
   obs::ProvenanceLedger::Persisted st;
   std::uint32_t record_count = 0;
-  if (!sr.reader.Get(st.caps.max_incidents) ||
-      !sr.reader.Get(st.caps.max_events) ||
-      !sr.reader.Get(st.caps.max_classes) || !sr.reader.Get(st.evicted) ||
-      !sr.reader.Get(record_count)) {
+  if (!reader.Get(st.caps.max_incidents) ||
+      !reader.Get(st.caps.max_events) ||
+      !reader.Get(st.caps.max_classes) || !reader.Get(st.evicted) ||
+      !reader.Get(record_count)) {
     return "truncated";
   }
   if (record_count > kMaxEntries) return "implausible record count";
@@ -646,9 +555,9 @@ std::string DecodeProvenance(const std::string& bytes,
   for (std::uint32_t i = 0; i < record_count; ++i) {
     obs::IncidentProvenance& r = st.records[i];
     std::uint32_t path_count = 0;
-    if (!sr.reader.Get(r.seq) || !sr.reader.Get(r.stem_first) ||
-        !sr.reader.Get(r.stem_second) || !GetString(sr.reader, r.stem) ||
-        !GetString(sr.reader, r.kind) || !sr.reader.Get(path_count)) {
+    if (!reader.Get(r.seq) || !reader.Get(r.stem_first) ||
+        !reader.Get(r.stem_second) || !GetString(reader, r.stem) ||
+        !GetString(reader, r.kind) || !reader.Get(path_count)) {
       return util::StrPrintf("truncated at record %u", i);
     }
     if (path_count > 64) {
@@ -656,14 +565,14 @@ std::string DecodeProvenance(const std::string& bytes,
     }
     r.path.resize(path_count);
     for (std::uint32_t p = 0; p < path_count; ++p) {
-      if (!GetString(sr.reader, r.path[p])) {
+      if (!GetString(reader, r.path[p])) {
         return util::StrPrintf("truncated at record %u path hop %u", i, p);
       }
     }
     std::uint32_t event_count = 0;
-    if (!sr.reader.Get(r.window_events) || !sr.reader.Get(r.component_events) ||
-        !GetF64(sr.reader, r.component_weight) ||
-        !sr.reader.Get(r.events_total) || !sr.reader.Get(event_count)) {
+    if (!reader.Get(r.window_events) || !reader.Get(r.component_events) ||
+        !GetF64(reader, r.component_weight) ||
+        !reader.Get(r.events_total) || !reader.Get(event_count)) {
       return util::StrPrintf("truncated at record %u", i);
     }
     if (event_count > obs::kMaxProvenanceEvents) {
@@ -672,14 +581,14 @@ std::string DecodeProvenance(const std::string& bytes,
     r.events.resize(event_count);
     for (std::uint32_t e = 0; e < event_count; ++e) {
       obs::ProvenanceEvent& ev = r.events[e];
-      if (!sr.reader.Get(ev.stream_index) || !GetF64(sr.reader, ev.time_sec) ||
-          !GetString(sr.reader, ev.type) || !GetString(sr.reader, ev.peer) ||
-          !GetString(sr.reader, ev.prefix) || !sr.reader.Get(ev.admission)) {
+      if (!reader.Get(ev.stream_index) || !GetF64(reader, ev.time_sec) ||
+          !GetString(reader, ev.type) || !GetString(reader, ev.peer) ||
+          !GetString(reader, ev.prefix) || !reader.Get(ev.admission)) {
         return util::StrPrintf("truncated at record %u event %u", i, e);
       }
     }
     std::uint32_t class_count = 0;
-    if (!sr.reader.Get(r.classes_total) || !sr.reader.Get(class_count)) {
+    if (!reader.Get(r.classes_total) || !reader.Get(class_count)) {
       return util::StrPrintf("truncated at record %u", i);
     }
     if (class_count > obs::kMaxProvenanceClasses) {
@@ -688,13 +597,13 @@ std::string DecodeProvenance(const std::string& bytes,
     r.classes.resize(class_count);
     for (std::uint32_t c = 0; c < class_count; ++c) {
       obs::ProvenanceClass& cls = r.classes[c];
-      if (!sr.reader.Get(cls.id) || !GetF64(sr.reader, cls.weight) ||
-          !GetF64(sr.reader, cls.score) || !GetString(sr.reader, cls.sequence)) {
+      if (!reader.Get(cls.id) || !GetF64(reader, cls.weight) ||
+          !GetF64(reader, cls.score) || !GetString(reader, cls.sequence)) {
         return util::StrPrintf("truncated at record %u class %u", i, c);
       }
     }
     std::uint32_t stage_count = 0;
-    if (!sr.reader.Get(stage_count)) {
+    if (!reader.Get(stage_count)) {
       return util::StrPrintf("truncated at record %u", i);
     }
     if (stage_count > 16) {
@@ -702,16 +611,15 @@ std::string DecodeProvenance(const std::string& bytes,
     }
     r.stages.resize(stage_count);
     for (std::uint32_t g = 0; g < stage_count; ++g) {
-      if (!GetString(sr.reader, r.stages[g].stage) ||
-          !GetF64(sr.reader, r.stages[g].seconds)) {
+      if (!GetString(reader, r.stages[g].stage) ||
+          !GetF64(reader, r.stages[g].seconds)) {
         return util::StrPrintf("truncated at record %u stage %u", i, g);
       }
     }
-    if (!sr.reader.Get(r.trace_tick)) {
+    if (!reader.Get(r.trace_tick)) {
       return util::StrPrintf("truncated at record %u", i);
     }
   }
-  if (!sr.AtEnd()) return "trailing bytes";
   // Structural invariants (caps, contiguity, per-record bounds) live
   // with the ledger so the decoder and Restore can never disagree.
   if (auto err = obs::ProvenanceLedger::Validate(st); !err.empty()) return err;
@@ -719,76 +627,93 @@ std::string DecodeProvenance(const std::string& bytes,
   return "";
 }
 
-// Recomputes the latency bucket counts implied by the incident log; the
-// SLOH section must agree exactly (redundancy turns a selectively
-// corrupted section into a loud restore failure).
-std::vector<std::uint64_t> CountsFromIncidents(
+// The section table, in encode order.
+struct SectionCodec {
+  const char* tag;
+  void (*encode)(const LiveState&, io::StringSink&);
+  std::string (*decode)(io::Reader&, LiveState&);
+};
+
+constexpr SectionCodec kSections[] = {
+    {"LIVE", EncodeLive, DecodeLive},
+    {"SHED", EncodeShed, DecodeShed},
+    {"STEM", EncodeStem, DecodeStem},
+    {"GAPS", EncodeGaps, DecodeGaps},
+    {"PEER", EncodePeers, DecodePeers},
+    {"FLOW", EncodeFlow, DecodeFlow},
+    {"INCD", EncodeIncidents, DecodeIncidents},
+    {"SLOH", EncodeSloHistogram, DecodeSloHistogram},
+    {"SERS", EncodeSeriesStore, DecodeSeriesStore},
+    {"PROV", EncodeProvenance, DecodeProvenance},
+};
+
+}  // namespace
+
+std::vector<std::uint64_t> LatencyCounts(
     const std::vector<IncidentLog::Entry>& incidents) {
   const std::vector<double> bounds = DetectionLatencyBounds();
   std::vector<std::uint64_t> counts(bounds.size() + 1, 0);
   for (const IncidentLog::Entry& e : incidents) {
-    std::size_t bucket = bounds.size();  // overflow
-    for (std::size_t b = 0; b < bounds.size(); ++b) {
-      if (e.incident.detection_latency_sec <= bounds[b]) {
-        bucket = b;
-        break;
-      }
+    std::size_t b = 0;  // bounds.size() is the overflow bucket
+    while (b < bounds.size() && e.incident.detection_latency_sec > bounds[b]) {
+      ++b;
     }
-    ++counts[bucket];
+    ++counts[b];
   }
   return counts;
 }
 
-}  // namespace
-
-void EncodeLiveState(const LiveCheckpointState& state,
-                     collector::Checkpoint& checkpoint) {
-  EncodeLiveState(state, state.incidents, checkpoint);
-}
-
-void EncodeLiveState(const LiveCheckpointState& state,
-                     const std::vector<IncidentLog::Entry>& incidents,
+void EncodeLiveState(const LiveState& state,
                      collector::Checkpoint& checkpoint) {
   checkpoint.time = state.stats.clock;
   checkpoint.event_offset = state.next_event;
   checkpoint.sections.clear();
-  checkpoint.sections.push_back({"LIVE", EncodeLive(state)});
-  checkpoint.sections.push_back({"SHED", EncodeShed(state)});
-  checkpoint.sections.push_back({"STEM", EncodeStem(state)});
-  checkpoint.sections.push_back({"GAPS", EncodeGaps(state)});
-  checkpoint.sections.push_back({"PEER", EncodePeers(state)});
-  checkpoint.sections.push_back({"FLOW", EncodeFlow(state)});
-  checkpoint.sections.push_back({"INCD", EncodeIncidents(incidents)});
-  checkpoint.sections.push_back({"SLOH", EncodeSloHistogram(state)});
-  checkpoint.sections.push_back({"SERS", EncodeSeriesStore(state)});
-  checkpoint.sections.push_back({"PROV", EncodeProvenance(state)});
+  for (const SectionCodec& codec : kSections) {
+    std::string bytes;
+    io::StringSink os(bytes);
+    io::Put<std::uint8_t>(os, kSectionLayoutVersion);
+    codec.encode(state, os);
+    checkpoint.sections.push_back({codec.tag, std::move(bytes)});
+  }
 }
 
 bool DecodeLiveState(const collector::Checkpoint& checkpoint,
-                     LiveCheckpointState* state, std::string* error) {
-  LiveCheckpointState out;
+                     LiveState* state, std::string* error) {
+  LiveState out;
   const auto fail = [error](const char* tag, const std::string& why) {
     if (error != nullptr) {
       *error = util::StrPrintf("section %s: %s", tag, why.c_str());
     }
     return false;
   };
-  const auto section = [&](const char* tag) -> const std::string* {
-    const collector::Checkpoint::Section* s = checkpoint.FindSection(tag);
-    return s == nullptr ? nullptr : &s->bytes;
-  };
 
   // Every live section is required; a checkpoint missing one is either
   // collector-only (not a live checkpoint) or truncated by editing.
   // (Tags WIND and QUEU carried full in-flight event records in earlier
   // builds; they are retired and must never be reused for new layouts.)
-  for (const char* tag : {"LIVE", "SHED", "STEM", "GAPS", "PEER", "FLOW",
-                          "INCD", "SLOH", "SERS", "PROV"}) {
-    if (section(tag) == nullptr) return fail(tag, "missing");
+  for (const SectionCodec& codec : kSections) {
+    if (checkpoint.FindSection(codec.tag) == nullptr) {
+      return fail(codec.tag, "missing");
+    }
   }
-
-  if (auto err = DecodeLive(*section("LIVE"), out); !err.empty()) {
-    return fail("LIVE", err);
+  // In table order: later sections validate against earlier ones (FLOW
+  // against the LIVE cursor, INCD and SERS against the LIVE clock).
+  for (const SectionCodec& codec : kSections) {
+    std::istringstream bytes(checkpoint.FindSection(codec.tag)->bytes);
+    io::Reader reader(bytes);
+    std::uint8_t layout = 0;
+    std::string err;
+    if (!reader.Get(layout)) {
+      err = "truncated layout version";
+    } else if (layout != kSectionLayoutVersion) {
+      err = util::StrPrintf("unsupported layout version %u", layout);
+    } else {
+      err = codec.decode(reader, out);
+    }
+    if (err.empty() && bytes.peek() != std::istringstream::traits_type::eof()) {
+      err = "trailing bytes";
+    }
+    if (!err.empty()) return fail(codec.tag, err);
   }
   // The outer envelope duplicates the cursor; disagreement means the
   // sections do not belong to this snapshot.
@@ -796,40 +721,10 @@ bool DecodeLiveState(const collector::Checkpoint& checkpoint,
       checkpoint.event_offset != out.next_event) {
     return fail("LIVE", "cursor disagrees with the checkpoint envelope");
   }
-  if (auto err = DecodeShed(*section("SHED"), out); !err.empty()) {
-    return fail("SHED", err);
-  }
-  if (auto err = DecodeStem(*section("STEM"), out); !err.empty()) {
-    return fail("STEM", err);
-  }
-  if (auto err = DecodeGaps(*section("GAPS"), out); !err.empty()) {
-    return fail("GAPS", err);
-  }
-  if (auto err = DecodePeers(*section("PEER"), out); !err.empty()) {
-    return fail("PEER", err);
-  }
-  if (auto err = DecodeFlow(*section("FLOW"), out.next_event, out);
-      !err.empty()) {
-    return fail("FLOW", err);
-  }
-  if (auto err = DecodeIncidents(*section("INCD"), out.stats.clock, out);
-      !err.empty()) {
-    return fail("INCD", err);
-  }
-  if (auto err = DecodeSloHistogram(*section("SLOH"), out); !err.empty()) {
-    return fail("SLOH", err);
-  }
-  if (auto err = DecodeSeriesStore(*section("SERS"), out.stats.clock, out);
-      !err.empty()) {
-    return fail("SERS", err);
-  }
-  if (auto err = DecodeProvenance(*section("PROV"), out); !err.empty()) {
-    return fail("PROV", err);
-  }
   if (out.incidents.size() != out.stats.incidents) {
     return fail("INCD", "entry count disagrees with LIVE stats");
   }
-  if (CountsFromIncidents(out.incidents) != out.latency_counts) {
+  if (LatencyCounts(out.incidents) != out.latency_counts) {
     return fail("SLOH", "bucket counts disagree with the incident log");
   }
   // Incident-id linkage: with a ledger attached (nonzero caps), every

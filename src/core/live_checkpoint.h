@@ -1,8 +1,9 @@
-// Analysis-tier checkpoint state: the typed contents of the RNC1 v2
-// named sections (collector/checkpoint.h) that make `ranomaly serve`
-// crash-safe.  core::LiveRunner snapshots this at a tick boundary and
-// encodes it; a restarted runner decodes, validates, and resumes —
-// replaying forward to a bit-identical incident stream.
+// Analysis-tier state: everything core::LiveRunner carries from one
+// tick to the next, and exactly the typed contents of the RNC1 v2 named
+// sections (collector/checkpoint.h) that make `ranomaly serve`
+// crash-safe.  The runner mutates one LiveState in place, encodes it at
+// a tick boundary, and a restarted runner decodes, validates, and
+// resumes on it — replaying forward to a bit-identical incident stream.
 //
 // Sections (each starts with a u8 layout version, currently 1):
 //   LIVE  replay cursor: stream identity (t0), events consumed, and the
@@ -42,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,7 +54,7 @@
 
 namespace ranomaly::core {
 
-struct LiveCheckpointState {
+struct LiveState {
   // LIVE
   util::SimTime t0 = 0;          // first stream event time (identity check)
   std::uint64_t next_event = 0;  // events consumed from the stream
@@ -61,27 +63,31 @@ struct LiveCheckpointState {
   int shed_level = 0;
   std::uint64_t calm_ticks = 0;       // consecutive below-watermark ticks
   std::uint64_t arrival_index = 0;    // deterministic sampling phase
-  bool tracer_suspended = false;      // L1 suspension active at snapshot
+  bool tracer_suspended = false;      // L1 suspension active
   bool tracer_was_enabled = false;    // what to restore on recovery
   std::vector<ShedWindow> shed_windows;
-  // STEM
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen_stems;
+  // STEM: stems already reported (each is reported once).
+  std::set<StemKey> seen_stems;
   // GAPS
   std::vector<LiveGap> gaps;
   // PEER
-  std::vector<PeerBoard::Persisted> peers;
+  std::vector<PeerBoard::State> peers;
   // FLOW: one class per stream event in [flow_start, next_event) —
   // 0 = no longer in flight (marker, shed, or expired from the window),
   // 1 = in the analysis window, 2 = in the backpressure queue.  Window
-  // entries always precede queue entries (FIFO admission).  The restored
-  // runner rebuilds both containers by re-reading the stream; each
+  // entries always precede queue entries (FIFO admission), and the
+  // runner keeps the first entry nonzero at every tick boundary.  The
+  // in-flight events themselves are re-read from the stream; each
   // event's ingest stamp is the first tick boundary after its time, so
   // stamps are derivable and not persisted either.
   std::uint64_t flow_start = 0;
   std::vector<std::uint8_t> flow;
+  // The sink payloads.  The incident log, series store and provenance
+  // ledger are shared with the HTTP thread and own their contents; the
+  // runner fills these four only while it cuts or restores a checkpoint.
   // INCD
   std::vector<IncidentLog::Entry> incidents;
-  // SLOH: one count per DetectionLatencyBounds() bucket plus overflow.
+  // SLOH: LatencyCounts(incidents).
   std::vector<std::uint64_t> latency_counts;
   // SERS: the dashboard history (empty tiers when the runner has no
   // store attached — encoded as a zero-tier section either way).
@@ -91,26 +97,21 @@ struct LiveCheckpointState {
   obs::ProvenanceLedger::Persisted provenance;
 };
 
+// Detection-latency bucket counts of `incidents`, one per
+// DetectionLatencyBounds() bucket plus overflow: the SLOH payload, and
+// what decode recounts to cross-check it.
+std::vector<std::uint64_t> LatencyCounts(
+    const std::vector<IncidentLog::Entry>& incidents);
+
 // Renders `state` into `checkpoint`: sets time (the tick boundary) and
 // event_offset (the stream cursor) and replaces the section table.
 // Deterministic: the same state always yields the same bytes.
-void EncodeLiveState(const LiveCheckpointState& state,
-                     collector::Checkpoint& checkpoint);
-
-// Borrowing overload for the periodic snapshot path: the incident log
-// (the one remaining unbounded-growth vector, three strings per entry)
-// is encoded straight from the live container instead of being copied
-// into a LiveCheckpointState first.  `state.incidents` is ignored
-// (callers leave it empty).  Produces byte-identical output to the
-// copying overload given equal contents.
-void EncodeLiveState(const LiveCheckpointState& state,
-                     const std::vector<IncidentLog::Entry>& incidents,
-                     collector::Checkpoint& checkpoint);
+void EncodeLiveState(const LiveState& state, collector::Checkpoint& checkpoint);
 
 // Inverse of EncodeLiveState with full validation.  Returns false and
 // sets *error ("section INCD: non-contiguous seq at entry 3") without
-// touching *state's validity guarantees on any failure.
-bool DecodeLiveState(const collector::Checkpoint& checkpoint,
-                     LiveCheckpointState* state, std::string* error);
+// touching *state on any failure.
+bool DecodeLiveState(const collector::Checkpoint& checkpoint, LiveState* state,
+                     std::string* error);
 
 }  // namespace ranomaly::core

@@ -83,8 +83,8 @@ RunResult RunLive(const LiveOptions& options,
 }
 
 // A small but fully-populated state for direct encode/decode tests.
-LiveCheckpointState SampleState() {
-  LiveCheckpointState st;
+LiveState SampleState() {
+  LiveState st;
   st.t0 = 0;
   st.next_event = 42;
   st.stats.ticks = 7;
@@ -101,10 +101,10 @@ LiveCheckpointState SampleState() {
   st.tracer_was_enabled = true;
   st.shed_windows.push_back(ShedWindow{20 * kSecond, 50 * kSecond, true});
   const std::uint64_t as_sym = (std::uint64_t{3} << 56) | 64500;  // kAs
-  st.seen_stems.push_back({as_sym, as_sym + 1});
+  st.seen_stems.insert({as_sym, as_sym + 1});
   st.gaps.push_back(
       LiveGap{bgp::Ipv4Addr(0x0a000001), 30 * kSecond, 40 * kSecond, true});
-  PeerBoard::Persisted peer;
+  PeerBoard::State peer;
   peer.row.peer = bgp::Ipv4Addr(0x0a000001);
   peer.row.announces = 40;
   peer.row.withdraws = 2;
@@ -182,8 +182,8 @@ LiveCheckpointState SampleState() {
 // A checkpoint cut at a quiet tick boundary: zero events in flight (the
 // FLOW range butts up against the LIVE cursor with count 0), an empty
 // incident log, and an all-zero latency histogram.
-LiveCheckpointState BoundaryState() {
-  LiveCheckpointState st;
+LiveState BoundaryState() {
+  LiveState st;
   st.t0 = 0;
   st.next_event = 42;
   st.stats.ticks = 7;
@@ -202,7 +202,7 @@ std::string TempPath(const char* name) {
 }
 
 TEST(LiveCheckpointTest, EncodeDecodeRoundTripsEverySection) {
-  const LiveCheckpointState st = SampleState();
+  const LiveState st = SampleState();
   collector::Checkpoint ck;
   EncodeLiveState(st, ck);
   EXPECT_EQ(ck.time, st.stats.clock);
@@ -215,7 +215,7 @@ TEST(LiveCheckpointTest, EncodeDecodeRoundTripsEverySection) {
   const auto loaded = collector::LoadCheckpoint(ss);
   ASSERT_TRUE(loaded.has_value());
 
-  LiveCheckpointState out;
+  LiveState out;
   std::string error;
   ASSERT_TRUE(DecodeLiveState(*loaded, &out, &error)) << error;
   EXPECT_EQ(out.t0, st.t0);
@@ -258,7 +258,7 @@ TEST(LiveCheckpointTest, EncodeDecodeRoundTripsEverySection) {
 }
 
 TEST(LiveCheckpointTest, DeterministicBytes) {
-  const LiveCheckpointState st = SampleState();
+  const LiveState st = SampleState();
   collector::Checkpoint a, b;
   EncodeLiveState(st, a);
   EncodeLiveState(st, b);
@@ -272,7 +272,7 @@ TEST(LiveCheckpointTest, DeterministicBytes) {
 // restore, and no guessing which state was bad.
 TEST(LiveCheckpointTest, RejectionNamesTheFailingSection) {
   const auto decode_error = [](collector::Checkpoint ck) {
-    LiveCheckpointState out;
+    LiveState out;
     std::string error;
     EXPECT_FALSE(DecodeLiveState(ck, &out, &error));
     return error;
@@ -363,19 +363,19 @@ TEST(LiveCheckpointTest, RejectionNamesTheFailingSection) {
 // breaks.
 TEST(LiveCheckpointTest, ProvenanceViolationsAreRejected) {
   const auto decode_error = [](const collector::Checkpoint& ck) {
-    LiveCheckpointState out;
+    LiveState out;
     std::string error;
     EXPECT_FALSE(DecodeLiveState(ck, &out, &error));
     return error;
   };
-  const auto encoded = [](const LiveCheckpointState& st) {
+  const auto encoded = [](const LiveState& st) {
     collector::Checkpoint ck;
     EncodeLiveState(st, ck);
     return ck;
   };
   {
     // Stem key disagreeing with the INCD entry it claims to explain.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.records[0].stem_first ^= 1;
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("PROV"), std::string::npos) << error;
@@ -383,7 +383,7 @@ TEST(LiveCheckpointTest, ProvenanceViolationsAreRejected) {
   }
   {
     // Record + evicted count disagreeing with the incident log.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.records.clear();
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("PROV"), std::string::npos) << error;
@@ -391,42 +391,42 @@ TEST(LiveCheckpointTest, ProvenanceViolationsAreRejected) {
   }
   {
     // The zero-caps "no ledger" sentinel may not carry records.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.caps = {0, 0, 0};
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("PROV"), std::string::npos) << error;
   }
   {
     // Caps beyond the hard bounds.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.caps.max_incidents = obs::kMaxProvenanceIncidents + 1;
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("PROV"), std::string::npos) << error;
   }
   {
     // Reserved admission class on a sampled event.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.records[0].events[0].admission = 2;
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("PROV"), std::string::npos) << error;
   }
   {
     // Class ids must be in first-occurrence order.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.records[0].classes[0].id = 3;
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("PROV"), std::string::npos) << error;
   }
   {
     // More sampled events than the record claims contributed.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.records[0].events_total = 0;
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("PROV"), std::string::npos) << error;
   }
   {
     // A component cannot be larger than the window it came from.
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.provenance.records[0].component_events =
         st.provenance.records[0].window_events + 1;
     const std::string error = decode_error(encoded(st));
@@ -439,18 +439,18 @@ TEST(LiveCheckpointTest, ProvenanceViolationsAreRejected) {
 // grid, and an overfull ring.
 TEST(LiveCheckpointTest, SeriesStoreViolationsAreRejected) {
   const auto decode_error = [](const collector::Checkpoint& ck) {
-    LiveCheckpointState out;
+    LiveState out;
     std::string error;
     EXPECT_FALSE(DecodeLiveState(ck, &out, &error));
     return error;
   };
-  const auto encoded = [](const LiveCheckpointState& st) {
+  const auto encoded = [](const LiveState& st) {
     collector::Checkpoint ck;
     EncodeLiveState(st, ck);
     return ck;
   };
   {
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.series_store.last_sample = st.stats.clock + 1;
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("SERS"), std::string::npos) << error;
@@ -458,13 +458,13 @@ TEST(LiveCheckpointTest, SeriesStoreViolationsAreRejected) {
         << error;
   }
   {
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.series_store.series[0].tiers[0][0].t = 17;  // off the 1s grid
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("SERS"), std::string::npos) << error;
   }
   {
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     auto& ring = st.series_store.series[0].tiers[1];
     ring.clear();
     for (int i = 0; i < 721; ++i) {  // capacity is 720
@@ -474,7 +474,7 @@ TEST(LiveCheckpointTest, SeriesStoreViolationsAreRejected) {
     EXPECT_NE(error.find("SERS"), std::string::npos) << error;
   }
   {
-    LiveCheckpointState st = SampleState();
+    LiveState st = SampleState();
     st.series_store.series[0].kind = 7;  // no such SeriesKind
     const std::string error = decode_error(encoded(st));
     EXPECT_NE(error.find("SERS"), std::string::npos) << error;
@@ -485,14 +485,14 @@ TEST(LiveCheckpointTest, SeriesStoreViolationsAreRejected) {
 // SLOH) is what every orderly shutdown writes; it must round-trip
 // exactly, not just the fully-populated SampleState.
 TEST(LiveCheckpointTest, FlowBoundaryWithNothingInFlightRoundTrips) {
-  const LiveCheckpointState st = BoundaryState();
+  const LiveState st = BoundaryState();
   collector::Checkpoint ck;
   EncodeLiveState(st, ck);
   std::stringstream ss;
   ASSERT_TRUE(collector::SaveCheckpoint(ck, ss));
   const auto loaded = collector::LoadCheckpoint(ss);
   ASSERT_TRUE(loaded.has_value());
-  LiveCheckpointState out;
+  LiveState out;
   std::string error;
   ASSERT_TRUE(DecodeLiveState(*loaded, &out, &error)) << error;
   EXPECT_EQ(out.next_event, st.next_event);
@@ -508,12 +508,12 @@ TEST(LiveCheckpointTest, FlowBoundaryWithNothingInFlightRoundTrips) {
 // nonzero bits in the final byte's padding must all be loud rejections.
 TEST(LiveCheckpointTest, FlowBoundaryViolationsAreRejected) {
   const auto decode_error = [](const collector::Checkpoint& ck) {
-    LiveCheckpointState out;
+    LiveState out;
     std::string error;
     EXPECT_FALSE(DecodeLiveState(ck, &out, &error));
     return error;
   };
-  const auto tampered_flow = [](const LiveCheckpointState& st,
+  const auto tampered_flow = [](const LiveState& st,
                                 const std::function<void(std::string&)>& fn) {
     collector::Checkpoint ck;
     EncodeLiveState(st, ck);
@@ -696,7 +696,7 @@ TEST(LiveCheckpointTest, CheckpointFromForeignStreamIsRejected) {
 // checkpoint file must be rejected (CRC, framing, or section validation)
 // — never a silent partial restore, never a crash.
 TEST(LiveCheckpointTest, TortureEveryBitFlipAndTruncationIsRejected) {
-  const LiveCheckpointState st = SampleState();
+  const LiveState st = SampleState();
   collector::Checkpoint ck;
   EncodeLiveState(st, ck);
   std::stringstream ss;
@@ -707,7 +707,7 @@ TEST(LiveCheckpointTest, TortureEveryBitFlipAndTruncationIsRejected) {
     std::stringstream is(bytes);
     const auto loaded = collector::LoadCheckpoint(is);
     if (!loaded.has_value()) return true;  // framing/CRC caught it
-    LiveCheckpointState out;
+    LiveState out;
     std::string error;
     const bool ok = DecodeLiveState(*loaded, &out, &error);
     EXPECT_TRUE(ok || !error.empty());  // failures always carry a reason
@@ -719,7 +719,7 @@ TEST(LiveCheckpointTest, TortureEveryBitFlipAndTruncationIsRejected) {
     std::stringstream is(good);
     const auto loaded = collector::LoadCheckpoint(is);
     ASSERT_TRUE(loaded.has_value());
-    LiveCheckpointState out;
+    LiveState out;
     std::string error;
     ASSERT_TRUE(DecodeLiveState(*loaded, &out, &error)) << error;
   }
@@ -835,7 +835,7 @@ TEST(LiveShedTest, BackpressureOffIsByteIdenticalToPlainReplay) {
   EXPECT_EQ(b.stats.events_shed, 0u);
 }
 
-TEST(LiveShedTest, ShedStateSurvivesRestart) {
+TEST(LiveShedTest, LadderStateSurvivesRestart) {
   // Kill the runner while the ladder is elevated; the restored run must
   // continue from the same ladder state and still converge with the
   // uninterrupted run's incident stream.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -258,6 +260,117 @@ TEST(LiveRunnerTest, FeedGapMarksPeerDegradedInHealth) {
   for (const auto& c : health.Snapshot()) {
     if (c.name == "peer/10.0.0.1") EXPECT_EQ(c.state, obs::HealthState::kOk);
   }
+}
+
+std::string ComponentReason(const obs::HealthRegistry& health,
+                            const std::string& name) {
+  for (const auto& c : health.Snapshot()) {
+    if (c.name == name) return c.reason;
+  }
+  return "<unregistered>";
+}
+
+// A second GAP marker for a peer whose gap is already open does not move
+// the gap's begin, so the health reason keeps naming the first marker —
+// and a run resumed from a checkpoint cut after both markers reports the
+// same text as the uninterrupted run.
+TEST(LiveRunnerTest, RepeatedGapKeepsTheOpenGapsReason) {
+  collector::EventStream stream;
+  stream.Append(MakeEvent(0, "10.0.0.1", bgp::EventType::kAnnounce));
+  stream.Append(MakeEvent(30 * kSecond, "10.0.0.2", bgp::EventType::kFeedGap));
+  stream.Append(MakeEvent(90 * kSecond, "10.0.0.2", bgp::EventType::kFeedGap));
+  stream.Append(
+      MakeEvent(150 * kSecond, "10.0.0.1", bgp::EventType::kAnnounce));
+
+  obs::HealthRegistry health;
+  LiveRunner(LiveOptions{}, &health, nullptr).Run(stream);
+  EXPECT_EQ(ComponentReason(health, "peer/10.0.0.2"),
+            "feed gap open since 30s");
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ranomaly_live_test_gap.ckpt")
+          .string();
+  std::filesystem::remove(path);
+  LiveOptions options;
+  options.checkpoint_path = path;
+  options.checkpoint_every_ticks = 1;
+  {
+    // Stop after tick 10 (clock 100 s): both markers are behind the cut.
+    obs::HealthRegistry first;
+    std::atomic<bool> keep_going{true};
+    LiveRunner(options, &first, nullptr)
+        .Run(stream, &keep_going, [&](const LiveStats& s) {
+          if (s.ticks >= 10) keep_going.store(false);
+        });
+  }
+  obs::HealthRegistry resumed;
+  const LiveStats stats = LiveRunner(options, &resumed, nullptr).Run(stream);
+  std::filesystem::remove(path);
+  EXPECT_TRUE(stats.restored);
+  EXPECT_EQ(ComponentReason(resumed, "peer/10.0.0.2"),
+            ComponentReason(health, "peer/10.0.0.2"));
+}
+
+// --- the Section V monitoring loop ------------------------------------------
+
+workload::SyntheticInternet SmallInternet() {
+  workload::InternetOptions options;
+  options.monitored_peers = 3;
+  options.tier1_count = 20;
+  options.transit_count = 100;
+  options.prefix_count = 400;
+  options.origin_as_count = 100;
+  options.seed = 41;
+  return workload::SyntheticInternet(options);
+}
+
+TEST(LiveMonitorTest, ReportsASessionResetAndEachStemOnce) {
+  const auto internet = SmallInternet();
+  workload::EventStreamGenerator gen(internet, 42);
+  gen.Churn(0, 60 * kMinute, 200);
+  gen.SessionReset(0, 30 * kMinute, kMinute, 20 * kSecond);
+  const auto stream = gen.Take();
+
+  IncidentLog log;
+  LiveRunner(LiveOptions{}, nullptr, &log).Run(stream);
+  bool saw_reset = false;
+  std::set<StemKey> stems;
+  for (const auto& entry : log.Since(0)) {
+    saw_reset |= entry.incident.kind == IncidentKind::kSessionReset;
+    EXPECT_TRUE(stems.insert(entry.incident.stem_key).second)
+        << "stem reported twice: " << entry.incident.stem_label;
+  }
+  EXPECT_TRUE(saw_reset);
+}
+
+TEST(LiveMonitorTest, EmptyStreamIsQuiet) {
+  IncidentLog log;
+  const LiveStats stats =
+      LiveRunner(LiveOptions{}, nullptr, &log).Run(collector::EventStream{});
+  EXPECT_EQ(stats.ticks, 0u);
+  EXPECT_EQ(stats.incidents, 0u);
+  EXPECT_EQ(log.size(), 0u);
+}
+
+// A flap that spans hours: every tick's window sees it, but stem dedup
+// reports it a few times (once per stem it surfaces under), not once
+// per tick.
+TEST(LiveMonitorTest, PersistentFlapIsNotReportedEveryTick) {
+  const auto internet = SmallInternet();
+  workload::EventStreamGenerator gen(internet, 43);
+  gen.PrefixOscillation(5, 0, 6 * 60 * kMinute, kMinute);
+  gen.Churn(0, 6 * 60 * kMinute, 300);
+  const auto stream = gen.Take();
+
+  IncidentLog log;
+  const LiveStats stats = LiveRunner(LiveOptions{}, nullptr, &log).Run(stream);
+  std::size_t flaps = 0;
+  for (const auto& entry : log.Since(0)) {
+    flaps += entry.incident.kind == IncidentKind::kRouteFlap;
+  }
+  EXPECT_GE(flaps, 2u);
+  EXPECT_LE(flaps, 5u);
+  EXPECT_GT(stats.ticks, 2000u);
 }
 
 // --- ops handler -------------------------------------------------------------
