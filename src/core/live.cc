@@ -637,10 +637,8 @@ class Replay {
       if (inc.detection_latency_sec <= options_.slo_target_sec) {
         ++stats.incidents_within_slo;
       }
-#ifndef RANOMALY_NO_PROVENANCE
       if (provenance_ != nullptr) AttachProvenance(inc, tick_end);
       inc.provenance = {};
-#endif
       log_.Append(std::move(inc));
     }
     SetSloRatio();
@@ -838,7 +836,6 @@ class Replay {
     return false;
   }
 
-#ifndef RANOMALY_NO_PROVENANCE
   // Builds the evidence record now, after the stem dedup: the window is
   // re-stemmed every tick, so populating inside the pipeline would pay
   // the string-heavy sampling for mostly already-seen incidents.  Then
@@ -876,7 +873,6 @@ class Replay {
                    {"total", inc.detection_latency_sec}};
     provenance_->Attach(std::move(prov));
   }
-#endif
 
   // Ladder transitions; every stage change is counted, logged and
   // reported through the ingest health component.
@@ -1052,12 +1048,6 @@ obs::HttpServer::Handler MakeOpsHandler(obs::MetricsRegistry* metrics,
     } else if (request.path == "/varz") {
       std::string body = "{\"build\":{\"project\":\"ranomaly\",\"tracing\":";
 #ifdef RANOMALY_NO_TRACING
-      body += "false";
-#else
-      body += "true";
-#endif
-      body += ",\"provenance\":";
-#ifdef RANOMALY_NO_PROVENANCE
       body += "false";
 #else
       body += "true";

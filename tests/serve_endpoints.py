@@ -11,6 +11,7 @@ Usage: serve_endpoints.py /path/to/ranomaly
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -372,6 +373,7 @@ def test_graceful_drain_and_restore(binary, capture, workdir):
           f"SIGTERM drains with exit 0 (code {process.returncode})")
     check("drained cleanly: final checkpoint durable" in out,
           "drain banner confirms the final checkpoint")
+    drained_ticks = re.search(r"replay done: \d+ events, (\d+) ticks", out)
     check(os.path.exists(checkpoint), "checkpoint file exists after drain")
     check(not os.path.exists(checkpoint + ".tmp"),
           "no checkpoint temp file lingers after drain")
@@ -381,8 +383,16 @@ def test_graceful_drain_and_restore(binary, capture, workdir):
         extra=("--checkpoint", checkpoint, "--exit-after-replay"))
     out = process.communicate(timeout=60)[0]
     check(process.returncode == 0, "restarted serve replays to completion")
-    check("restored from checkpoint: resumed at tick" in out,
+    resumed = re.search(r"restored from checkpoint: resumed at tick (\d+)", out)
+    check(resumed is not None,
           f"restart announces the checkpoint resume (got {out!r})")
+    # The drain's final checkpoint holds every tick the drained run
+    # finished, so the restart resumes exactly there.
+    check(drained_ticks is not None and resumed is not None
+          and resumed.group(1) == drained_ticks.group(1),
+          f"restart resumes at the drained run's last tick "
+          f"({drained_ticks and drained_ticks.group(1)} vs "
+          f"{resumed and resumed.group(1)})")
 
 
 def main():

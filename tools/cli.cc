@@ -738,8 +738,12 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
   };
   core::LiveRunner runner(options, &health, &incidents, &series_store,
                           &provenance_ledger);
+  // The tick count a restored checkpoint held: one less than the count
+  // after the first replayed tick.
+  std::optional<std::uint64_t> resumed_at;
   const core::LiveStats stats =
-      runner.Run(*stream, &keep_going, [&](const core::LiveStats&) {
+      runner.Run(*stream, &keep_going, [&](const core::LiveStats& tick) {
+        if (!resumed_at) resumed_at = tick.ticks - 1;
         if (pace_ms > 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
         }
@@ -749,8 +753,9 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
         }
       });
   if (stats.restored) {
-    out << "restored from checkpoint: resumed at tick " << stats.ticks
-        << std::endl;
+    // No tick replayed: the checkpoint already held the final count.
+    out << "restored from checkpoint: resumed at tick "
+        << resumed_at.value_or(stats.ticks) << std::endl;
   }
   out << "replay done: " << stats.events_ingested << " events, "
       << stats.ticks << " ticks, " << stats.incidents << " incidents ("

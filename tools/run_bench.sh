@@ -1,66 +1,58 @@
 #!/usr/bin/env bash
-# Runs the stemming-opt benchmark and distils BENCH_stemming.json:
-# ns/op per workload size for the legacy and arena stemmers, the serial
-# speedup per row, and the 1/2/4-thread curve at 330k events.
+# Runs the repo's benchmarks and merges their rows into BENCH_stemming.json.
+# This script parses the flags and builds what the run needs;
+# tools/bench_rows.py runs the binaries, distils each row, stamps it with
+# commit, date, host_cpus and build_type, and merges it into the file.
 #
 # Usage:
-#   tools/run_bench.sh [--quick|--overhead|--serve-overhead|--dashboard-overhead|--checkpoint-overhead|--provenance-overhead|--throughput|--internet]
-#                      [--build-dir DIR]
-#                      [--out FILE]
+#   tools/run_bench.sh [--quick] [--overhead] [--serve-overhead]
+#                      [--dashboard-overhead] [--checkpoint-overhead]
+#                      [--provenance-overhead] [--throughput] [--internet]
+#                      [--build-dir DIR] [--out FILE]
 #
-#   --quick      trimmed run (12k rows + thread curve, short min_time);
-#                writes into the build dir instead of the repo root.
-#                This is what the `bench_smoke` ctest entry runs.
-#                Composes with --throughput (trimmed events/thread set).
-#   --overhead   measures instrumentation overhead: benchmarks the
-#                normal build against a -DRANOMALY_NO_TRACING=ON build
-#                (configured into <build>-notrace) on the quick workload
-#                and appends an `instrumentation_overhead` row to the
-#                output JSON (budget: <= 5%, see docs/OBSERVABILITY.md).
+# Row flags combine; each adds its row.  With none, the script runs the
+# stemming-opt benchmark: ns/op per workload size for the legacy and
+# arena stemmers, the serial speedup per row, and the 1/2/4/8-thread
+# curve at 330k events.  A full run fails below a 5x serial speedup.
+#
+#   --throughput end-to-end ingest-to-incident events/s
+#                (bench_throughput --json) at 1/2/4/8 analysis threads:
+#                the `throughput_events_per_sec` row, the trajectory
+#                toward the 1M events/s target.  Fails unless the incident
+#                stream is byte-identical across thread counts.
+#   --internet   the same over the internet-scale workload
+#                (workload::BuildInternetScale: 32k ASes, 210k prefixes, a
+#                ~1M-route table dump plus churn): the
+#                `internet_scale_throughput` row.
+#
+# Overhead rows run 24 (off, on) pairs each and report the median on/off
+# ratio with a bootstrap 95% CI.  The run writes every row, then exits
+# non-zero if a row's CI upper bound is over its budget
+# (docs/OBSERVABILITY.md, "Overhead rows"):
+#   --overhead   `instrumentation_overhead`: the 12k-event stemming row of
+#                this build against a -DRANOMALY_NO_TRACING=ON build
+#                (configured into <build>-notrace), one process per side.
+#                Budget 5%.
 #   --serve-overhead
-#                measures what a 1 Hz /metrics + /varz scraper costs the
-#                analysis pipeline (bench_serve_overhead --paired) with
-#                the quiet-pair/min-over-rounds process-CPU estimator
-#                and appends a `serve_overhead` row to the output JSON
-#                (budget: <= 3%, see docs/OBSERVABILITY.md).
+#                `serve_overhead`: a 1 Hz /metrics + /varz scraper beside
+#                analysis batches (bench_overhead serve).  Budget 3%.
 #   --dashboard-overhead
-#                measures what a 1 Hz dashboard poller (/dashboard +
-#                /api/series + /api/incidents/timeline) costs the
-#                analysis pipeline (bench_dashboard_overhead --paired;
-#                both sides feed the time-series store, so sampling is
-#                baseline, not overhead) with the same estimator and
-#                appends a `dashboard_overhead` row to the output JSON
-#                (budget: <= 3%, see docs/OBSERVABILITY.md).
-#   --throughput measures end-to-end ingest-to-incident throughput
-#                (bench_throughput --json) at 1/2/4/8 analysis threads
-#                and appends a `throughput_events_per_sec` row to the
-#                output JSON; fails if the incident stream is not
-#                byte-identical across thread counts.  This is the
-#                trajectory row toward the 1M events/s target.
-#   --internet   measures the same end-to-end replay over the
-#                internet-scale workload (workload::BuildInternetScale:
-#                32k ASes, 210k prefixes, a ~1M-route table dump plus
-#                churn) and appends an `internet_scale_throughput` row;
-#                like --throughput it fails unless the incident stream
-#                is byte-identical across thread counts.  Composes with
-#                --quick (4k ASes / 20k prefixes, fewer reps).
+#                `dashboard_overhead`: a 1 Hz dashboard-tab poller beside
+#                the same batches (bench_overhead dashboard).  Budget 3%.
 #   --checkpoint-overhead
-#                measures what periodic analysis-tier checkpointing (an
-#                RNC1 v2 snapshot every 16 ticks, the serve default)
-#                costs a live replay (bench_checkpoint_overhead) and
-#                appends a `checkpoint_overhead` row to the output JSON
-#                (budget: <= 3%, see docs/FORMATS.md and
-#                docs/OBSERVABILITY.md).
+#                `checkpoint_overhead`: an RNC1 snapshot every 16 ticks
+#                during a live replay (bench_overhead checkpoint).
+#                Budget 3%.
 #   --provenance-overhead
-#                measures what per-incident evidence capture (the
-#                obs::ProvenanceLedger behind `ranomaly explain` and
-#                /api/incidents/<id>/evidence) costs a live replay
-#                (bench_provenance_overhead --paired) with the same
-#                quiet-pair/min-over-rounds process-CPU estimator and
-#                appends a `provenance_overhead` row to the output JSON
-#                (budget: <= 3%, see docs/OBSERVABILITY.md).  Composes
-#                with --quick (fewer pairs, one round, build-dir output)
-#                — the `bench_smoke_provenance` ctest entry.
+#                `provenance_overhead`: the per-incident evidence ledger
+#                during the same replay (bench_overhead provenance).
+#                Budget 3%.
+#
+#   --quick      trimmed runs: 12k stemming rows with short runs, fewer
+#                events, reps and threads for the throughput rows, and 3
+#                pairs per overhead row, which is too few to judge a
+#                budget, so only a malformed row fails.  The bench_smoke*
+#                ctest entries run this.
 #   --build-dir  cmake build directory (default: <repo>/build)
 #   --out        output JSON path (default: <repo>/BENCH_stemming.json,
 #                or <build>/BENCH_stemming_quick.json with --quick)
@@ -68,708 +60,62 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="$repo_root/build"
-quick=0
-overhead=0
-serve_overhead=0
-dashboard_overhead=0
-checkpoint_overhead=0
-provenance_overhead=0
-throughput=0
-internet=0
+quick=()
+modes=()
 out=""
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --quick) quick=1; shift ;;
-    --overhead) overhead=1; shift ;;
-    --serve-overhead) serve_overhead=1; shift ;;
-    --dashboard-overhead) dashboard_overhead=1; shift ;;
-    --checkpoint-overhead) checkpoint_overhead=1; shift ;;
-    --provenance-overhead) provenance_overhead=1; shift ;;
-    --throughput) throughput=1; shift ;;
-    --internet) internet=1; shift ;;
+    --quick) quick=(--quick); shift ;;
+    --overhead) modes+=(instrumentation); shift ;;
+    --serve-overhead) modes+=(serve); shift ;;
+    --dashboard-overhead) modes+=(dashboard); shift ;;
+    --checkpoint-overhead) modes+=(checkpoint); shift ;;
+    --provenance-overhead) modes+=(provenance); shift ;;
+    --throughput) modes+=(throughput); shift ;;
+    --internet) modes+=(internet); shift ;;
     --build-dir) build_dir="$2"; shift 2 ;;
     --out) out="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
-
-if [[ "$throughput" -eq 1 ]]; then
-  tbench="$build_dir/bench/bench_throughput"
-  if [[ ! -x "$tbench" ]]; then
-    echo "building bench_throughput in $build_dir ..." >&2
-    cmake --build "$build_dir" --target bench_throughput -j"$(nproc)"
-  fi
-  if [[ "$quick" -eq 1 ]]; then
-    [[ -n "$out" ]] || out="$build_dir/BENCH_stemming_quick.json"
-    args=(--json --events 40000 --reps 1 --threads 1,2)
+[[ ${#modes[@]} -gt 0 ]] || modes=(stemming)
+if [[ -z "$out" ]]; then
+  if [[ ${#quick[@]} -gt 0 ]]; then
+    out="$build_dir/BENCH_stemming_quick.json"
   else
-    [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-    args=(--json --events 200000 --reps 2 --threads 1,2,4,8)
+    out="$repo_root/BENCH_stemming.json"
   fi
-  raw="$(mktemp)"
-  trap 'rm -f "$raw"' EXIT
-  # The bench replays the full serve path (tick ingest -> windowed
-  # analysis -> incident log) once per (thread count, rep) and keeps
-  # each count's fastest run; it also diffs the incident stream across
-  # thread counts and exits non-zero on any byte difference, so this
-  # row doubles as an end-to-end determinism check.
-  "$tbench" "${args[@]}" > "$raw"
-  python3 - "$raw" "$out" <<'EOF'
-import json
-import os
-import sys
+fi
 
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    report = json.load(f)
-if not report.get("incident_streams_identical", False):
-    sys.exit("incident streams differ across thread counts")
-row = {
-    "benchmark": "bench_throughput",
-    "workload": "SessionReset + Churn live replay, 10s tick / 5min window",
-    "target_events_per_sec": 1_000_000,
-    "host_cpus": report["host_cpus"],
-    "events": report["events"],
-    "incident_streams_identical": True,
-    "rows": report["rows"],
+# Builds bench target $2 in build dir $1 unless it is already there.
+need() {
+  if [[ ! -x "$1/bench/$2" ]]; then
+    echo "building $2 in $1 ..." >&2
+    cmake --build "$1" --target "$2" -j"$(nproc)"
+  fi
 }
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result["throughput_events_per_sec"] = row
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-for r in report["rows"]:
-    print(f'  {r["threads"]} thread(s): {r["events_per_sec"]:>10,.0f} '
-          f'events/s ({r["seconds"]:.2f} s, {r["incidents"]} incidents)')
-best = max(r["events_per_sec"] for r in report["rows"])
-print(f'  best {best:,.0f} events/s of the {row["target_events_per_sec"]:,} '
-      f'events/s target on a {row["host_cpus"]}-CPU host')
-print(f"updated {out_path}")
-EOF
-  exit 0
-fi
 
-if [[ "$internet" -eq 1 ]]; then
-  tbench="$build_dir/bench/bench_throughput"
-  if [[ ! -x "$tbench" ]]; then
-    echo "building bench_throughput in $build_dir ..." >&2
-    cmake --build "$build_dir" --target bench_throughput -j"$(nproc)"
-  fi
-  if [[ "$quick" -eq 1 ]]; then
-    [[ -n "$out" ]] || out="$build_dir/BENCH_stemming_quick.json"
-    args=(--json --internet --ases 4000 --prefixes 20000 --peers 3
-          --reps 1 --threads 1,2)
-    workload="BuildInternetScale(4k ASes, 20k prefixes, 3 vantages)"
-  else
-    [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-    args=(--json --internet --ases 32000 --prefixes 210000 --peers 5
-          --reps 2 --threads 1,2,4,8)
-    workload="BuildInternetScale(32k ASes, 210k prefixes, 5 vantages)"
-  fi
-  raw="$(mktemp)"
-  trap 'rm -f "$raw"' EXIT
-  # Same harness as --throughput (full serve path, best-of-reps per
-  # thread count, byte-identical incident streams enforced), but over
-  # the Gao-Rexford table-dump workload: a full-table regime instead of
-  # churn-dominated replay.
-  "$tbench" "${args[@]}" > "$raw"
-  python3 - "$raw" "$out" "$workload" <<'EOF'
-import json
-import os
-import sys
+for mode in "${modes[@]}"; do
+  case "$mode" in
+    stemming) need "$build_dir" bench_stemming_opt ;;
+    throughput|internet) need "$build_dir" bench_throughput ;;
+    instrumentation)
+      need "$build_dir" bench_stemming_opt
+      if [[ ! -f "$build_dir-notrace/CMakeCache.txt" ]]; then
+        echo "configuring NO_TRACING build in $build_dir-notrace ..." >&2
+        # Mirror the traced build's type so the comparison isolates the
+        # instrumentation, not the optimization level.
+        build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+          "$build_dir/CMakeCache.txt")"
+        cmake -B "$build_dir-notrace" -S "$repo_root" \
+          -DCMAKE_BUILD_TYPE="$build_type" -DRANOMALY_NO_TRACING=ON > /dev/null
+      fi
+      need "$build_dir-notrace" bench_stemming_opt
+      ;;
+    *) need "$build_dir" bench_overhead ;;
+  esac
+done
 
-raw_path, out_path, workload = sys.argv[1], sys.argv[2], sys.argv[3]
-with open(raw_path) as f:
-    report = json.load(f)
-if not report.get("incident_streams_identical", False):
-    sys.exit("incident streams differ across thread counts")
-row = {
-    "benchmark": "bench_throughput --internet",
-    "workload": workload + " live replay, 10s tick / 5min window",
-    "target_events_per_sec": 1_000_000,
-    "host_cpus": report["host_cpus"],
-    "events": report["events"],
-    "incident_streams_identical": True,
-    "rows": report["rows"],
-}
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result["internet_scale_throughput"] = row
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-for r in report["rows"]:
-    print(f'  {r["threads"]} thread(s): {r["events_per_sec"]:>10,.0f} '
-          f'events/s ({r["seconds"]:.2f} s, {r["incidents"]} incidents)')
-best = max(r["events_per_sec"] for r in report["rows"])
-print(f'  best {best:,.0f} events/s of the {row["target_events_per_sec"]:,} '
-      f'events/s target on a {row["host_cpus"]}-CPU host')
-print(f"updated {out_path}")
-EOF
-  exit 0
-fi
-
-if [[ "$serve_overhead" -eq 1 ]]; then
-  [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-  sbench="$build_dir/bench/bench_serve_overhead"
-  if [[ ! -x "$sbench" ]]; then
-    echo "building bench_serve_overhead in $build_dir ..." >&2
-    cmake --build "$build_dir" --target bench_serve_overhead -j"$(nproc)"
-  fi
-  # Same estimator as --checkpoint-overhead: (bare, scraped) analysis
-  # batches run back to back in ONE process, alternating which side
-  # goes first, each timed with a process-CPU-clock delta.  The quiet
-  # pairs — combined time within 15% of the observed floor — ran in the
-  # least contaminated regime, their ratio cancels the load the two
-  # adjacent halves shared, and the minimum over time-separated rounds
-  # dodges box-wide pressure stretches.  The previous separate-process
-  # comparison reported a *negative* overhead (-5%) because the bare
-  # and scraped processes landed in different load regimes.
-  python3 - "$sbench" "$out" <<'EOF'
-import json
-import statistics
-import os
-import subprocess
-import sys
-
-sbench, out_path = sys.argv[1], sys.argv[2]
-
-pairs = 10
-
-def measure():
-    proc = subprocess.run([sbench, "--paired", str(pairs)],
-                          check=True, capture_output=True, text=True)
-    report = json.loads(proc.stdout)
-    floor = min(p["bare_ns"] + p["scraped_ns"] for p in report["pairs"])
-    quiet = [p for p in report["pairs"]
-             if p["bare_ns"] + p["scraped_ns"] <= floor * 1.15]
-    if len(quiet) < 3:  # loaded box: median over 2 pairs is a coin flip
-        quiet = sorted(report["pairs"],
-                       key=lambda p: p["bare_ns"] + p["scraped_ns"])[:3]
-    ratio = statistics.median(p["scraped_ns"] / p["bare_ns"] for p in quiet)
-    iters = report["iters_per_side"]
-    return {
-        "bare_ns_per_op": statistics.median(
-            p["bare_ns"] for p in quiet) / iters,
-        "scraped_ns_per_op": statistics.median(
-            p["scraped_ns"] for p in quiet) / iters,
-        "overhead_fraction": ratio - 1.0,
-        "quiet_pairs": len(quiet),
-    }
-
-# True overhead is >= 0 and load inflates the ratio, so smaller is
-# closer to the truth — but a *negative* reading is residual noise of
-# that magnitude around zero, not a better measurement, so rounds
-# compete on |overhead| and the loop stops once a round lands within
-# the noise floor of zero.
-rounds = []
-for _ in range(3):
-    rounds.append(measure())
-    if abs(rounds[-1]["overhead_fraction"]) <= 0.015:
-        break
-best = min(rounds, key=lambda r: abs(r["overhead_fraction"]))
-row = {
-    "benchmark": "bench_serve_overhead",
-    **best,
-    "pairs": pairs,
-    "rounds": len(rounds),
-    "round_overheads": [r["overhead_fraction"] for r in rounds],
-    "estimator": "min_abs_over_rounds_of_median_quiet_pair_ratio",
-    "metric": "process_cpu_time",
-}
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result["serve_overhead"] = row
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-budget = 0.03
-verdict = "within" if row["overhead_fraction"] <= budget else "OVER"
-print(f'  analyze (process CPU, {row["quiet_pairs"]} quiet of {pairs} '
-      f'interleaved pairs, best of {len(rounds)} round(s)): bare '
-      f'{row["bare_ns_per_op"] / 1e6:.2f} ms, with 1 Hz scraper '
-      f'{row["scraped_ns_per_op"] / 1e6:.2f} ms, overhead '
-      f'{row["overhead_fraction"] * 100:+.1f}% ({verdict} the '
-      f'{budget * 100:.0f}% budget)')
-print(f"updated {out_path}")
-EOF
-  exit 0
-fi
-
-if [[ "$dashboard_overhead" -eq 1 ]]; then
-  [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-  dbench="$build_dir/bench/bench_dashboard_overhead"
-  if [[ ! -x "$dbench" ]]; then
-    echo "building bench_dashboard_overhead in $build_dir ..." >&2
-    cmake --build "$build_dir" --target bench_dashboard_overhead -j"$(nproc)"
-  fi
-  # Same quiet-pair/min-over-rounds process-CPU estimator as
-  # --serve-overhead; the polled side swaps the Prometheus scraper for
-  # a dashboard tab's request rotation, and both sides sample the
-  # time-series store every iteration (sampling happens at every serve
-  # tick regardless of watchers, so it belongs to the baseline).
-  python3 - "$dbench" "$out" <<'EOF'
-import json
-import statistics
-import os
-import subprocess
-import sys
-
-dbench, out_path = sys.argv[1], sys.argv[2]
-
-pairs = 10
-
-def measure():
-    proc = subprocess.run([dbench, "--paired", str(pairs)],
-                          check=True, capture_output=True, text=True)
-    report = json.loads(proc.stdout)
-    floor = min(p["bare_ns"] + p["scraped_ns"] for p in report["pairs"])
-    quiet = [p for p in report["pairs"]
-             if p["bare_ns"] + p["scraped_ns"] <= floor * 1.15]
-    if len(quiet) < 3:  # loaded box: median over 2 pairs is a coin flip
-        quiet = sorted(report["pairs"],
-                       key=lambda p: p["bare_ns"] + p["scraped_ns"])[:3]
-    ratio = statistics.median(p["scraped_ns"] / p["bare_ns"] for p in quiet)
-    iters = report["iters_per_side"]
-    return {
-        "bare_ns_per_op": statistics.median(
-            p["bare_ns"] for p in quiet) / iters,
-        "polled_ns_per_op": statistics.median(
-            p["scraped_ns"] for p in quiet) / iters,
-        "overhead_fraction": ratio - 1.0,
-        "quiet_pairs": len(quiet),
-    }
-
-rounds = []
-for _ in range(3):
-    rounds.append(measure())
-    if abs(rounds[-1]["overhead_fraction"]) <= 0.015:
-        break
-best = min(rounds, key=lambda r: abs(r["overhead_fraction"]))
-row = {
-    "benchmark": "bench_dashboard_overhead",
-    **best,
-    "pairs": pairs,
-    "rounds": len(rounds),
-    "round_overheads": [r["overhead_fraction"] for r in rounds],
-    "estimator": "min_abs_over_rounds_of_median_quiet_pair_ratio",
-    "metric": "process_cpu_time",
-}
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result["dashboard_overhead"] = row
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-budget = 0.03
-verdict = "within" if row["overhead_fraction"] <= budget else "OVER"
-print(f'  analyze (process CPU, {row["quiet_pairs"]} quiet of {pairs} '
-      f'interleaved pairs, best of {len(rounds)} round(s)): bare '
-      f'{row["bare_ns_per_op"] / 1e6:.2f} ms, with 1 Hz dashboard '
-      f'poller {row["polled_ns_per_op"] / 1e6:.2f} ms, overhead '
-      f'{row["overhead_fraction"] * 100:+.1f}% ({verdict} the '
-      f'{budget * 100:.0f}% budget)')
-print(f"updated {out_path}")
-EOF
-  exit 0
-fi
-
-if [[ "$checkpoint_overhead" -eq 1 ]]; then
-  [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-  cbench="$build_dir/bench/bench_checkpoint_overhead"
-  if [[ ! -x "$cbench" ]]; then
-    echo "building bench_checkpoint_overhead in $build_dir ..." >&2
-    cmake --build "$build_dir" --target bench_checkpoint_overhead -j"$(nproc)"
-  fi
-  # The bench binary's --paired mode runs (bare, checkpointed) replay
-  # pairs back to back in ONE process, alternating which side goes
-  # first, and times each replay with a process-CPU-clock delta.
-  # Interference on a shared box (CPU steal, interrupts, cache
-  # pollution) only ever *inflates* process CPU time and shifts on a
-  # multi-second scale, so the pairs whose combined time sits at the
-  # observed floor ran in the quietest regime and are the least
-  # contaminated; within such a pair the ratio cancels whatever load
-  # the two adjacent halves shared.  The row reports the median ratio
-  # over the quiet pairs (within 15% of the floor), minimized over up
-  # to three time-separated rounds to dodge stretches of box-wide I/O
-  # pressure that inflate every fsync.  Comparing
-  # separate bare and checkpointed processes instead was observed to
-  # land the two sides in load regimes differing by 60%, burying a
-  # few-percent effect under any estimator.
-  python3 - "$cbench" "$out" <<'EOF'
-import json
-import statistics
-import os
-import subprocess
-import sys
-
-cbench, out_path = sys.argv[1], sys.argv[2]
-
-pairs = 24
-
-def measure():
-    proc = subprocess.run([cbench, "--paired", str(pairs)],
-                          check=True, capture_output=True, text=True)
-    report = json.loads(proc.stdout)
-    floor = min(p["bare_ns"] + p["checkpointed_ns"]
-                for p in report["pairs"])
-    quiet = [p for p in report["pairs"]
-             if p["bare_ns"] + p["checkpointed_ns"] <= floor * 1.15]
-    ratio = statistics.median(
-        p["checkpointed_ns"] / p["bare_ns"] for p in quiet)
-    return {
-        "bare_ns_per_op": statistics.median(p["bare_ns"] for p in quiet),
-        "checkpointed_ns_per_op": statistics.median(
-            p["checkpointed_ns"] for p in quiet),
-        "overhead_fraction": ratio - 1.0,
-        "quiet_pairs": len(quiet),
-    }
-
-# Box-wide I/O pressure can make every fsync's kernel-side work
-# expensive for minutes at a stretch, inflating a whole round; like
-# CPU interference it only ever *adds* cost, so the minimum over
-# time-separated rounds estimates the uncontaminated overhead.  Stop
-# early once a round is evidently clean.
-# True overhead is >= 0 and load inflates the ratio, so smaller is
-# closer to the truth — but a *negative* reading is residual noise of
-# that magnitude around zero, not a better measurement, so rounds
-# compete on |overhead| and the loop stops once a round lands within
-# the noise floor of zero.
-rounds = []
-for _ in range(3):
-    rounds.append(measure())
-    if abs(rounds[-1]["overhead_fraction"]) <= 0.015:
-        break
-best = min(rounds, key=lambda r: abs(r["overhead_fraction"]))
-row = {
-    "benchmark": "bench_checkpoint_overhead",
-    **best,
-    "pairs": pairs,
-    "rounds": len(rounds),
-    "round_overheads": [r["overhead_fraction"] for r in rounds],
-    "estimator": "min_abs_over_rounds_of_median_quiet_pair_ratio",
-    "metric": "process_cpu_time",
-}
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result["checkpoint_overhead"] = row
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-budget = 0.03
-verdict = "within" if row["overhead_fraction"] <= budget else "OVER"
-print(f'  live replay (process CPU, {row["quiet_pairs"]} quiet of {pairs} '
-      f'interleaved pairs, best of {len(rounds)} round(s)): bare '
-      f'{row["bare_ns_per_op"] / 1e6:.2f} ms, checkpointing every 16 ticks '
-      f'{row["checkpointed_ns_per_op"] / 1e6:.2f} ms, overhead '
-      f'{row["overhead_fraction"] * 100:+.1f}% ({verdict} the '
-      f'{budget * 100:.0f}% budget)')
-print(f"updated {out_path}")
-EOF
-  exit 0
-fi
-
-if [[ "$provenance_overhead" -eq 1 ]]; then
-  if [[ "$quick" -eq 1 ]]; then
-    [[ -n "$out" ]] || out="$build_dir/BENCH_stemming_quick.json"
-    pairs=6
-    max_rounds=1
-  else
-    [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-    pairs=24
-    max_rounds=3
-  fi
-  pbench="$build_dir/bench/bench_provenance_overhead"
-  if [[ ! -x "$pbench" ]]; then
-    echo "building bench_provenance_overhead in $build_dir ..." >&2
-    cmake --build "$build_dir" --target bench_provenance_overhead -j"$(nproc)"
-  fi
-  # Same estimator as --checkpoint-overhead: (bare, provenance) replay
-  # pairs back to back in ONE process, alternating which side goes
-  # first, each replay timed with a process-CPU-clock delta; the row
-  # reports the median ratio over the quiet pairs (combined time within
-  # 15% of the observed floor), minimized over up to three
-  # time-separated rounds.  See that block's comment for why paired
-  # single-process ratios are the only estimator that survives a
-  # shared box.
-  python3 - "$pbench" "$out" "$pairs" "$max_rounds" <<'EOF'
-import json
-import statistics
-import os
-import subprocess
-import sys
-
-pbench, out_path = sys.argv[1], sys.argv[2]
-pairs, max_rounds = int(sys.argv[3]), int(sys.argv[4])
-
-def measure():
-    proc = subprocess.run([pbench, "--paired", str(pairs)],
-                          check=True, capture_output=True, text=True)
-    report = json.loads(proc.stdout)
-    floor = min(p["bare_ns"] + p["provenance_ns"]
-                for p in report["pairs"])
-    quiet = [p for p in report["pairs"]
-             if p["bare_ns"] + p["provenance_ns"] <= floor * 1.15]
-    ratio = statistics.median(
-        p["provenance_ns"] / p["bare_ns"] for p in quiet)
-    return {
-        "bare_ns_per_op": statistics.median(p["bare_ns"] for p in quiet),
-        "provenance_ns_per_op": statistics.median(
-            p["provenance_ns"] for p in quiet),
-        "overhead_fraction": ratio - 1.0,
-        "quiet_pairs": len(quiet),
-    }
-
-# True overhead is >= 0 and load only inflates the ratio, so smaller is
-# closer to the truth — but a *negative* reading is residual noise of
-# that magnitude around zero, not a better measurement, so rounds
-# compete on |overhead| and the loop stops once a round lands within
-# the noise floor of zero.
-rounds = []
-for _ in range(max_rounds):
-    rounds.append(measure())
-    if abs(rounds[-1]["overhead_fraction"]) <= 0.015:
-        break
-best = min(rounds, key=lambda r: abs(r["overhead_fraction"]))
-row = {
-    "benchmark": "bench_provenance_overhead",
-    **best,
-    "pairs": pairs,
-    "rounds": len(rounds),
-    "round_overheads": [r["overhead_fraction"] for r in rounds],
-    "estimator": "min_abs_over_rounds_of_median_quiet_pair_ratio",
-    "metric": "process_cpu_time",
-}
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result["provenance_overhead"] = row
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-budget = 0.03
-verdict = "within" if row["overhead_fraction"] <= budget else "OVER"
-print(f'  live replay (process CPU, {row["quiet_pairs"]} quiet of {pairs} '
-      f'interleaved pairs, best of {len(rounds)} round(s)): bare '
-      f'{row["bare_ns_per_op"] / 1e6:.2f} ms, with evidence capture '
-      f'{row["provenance_ns_per_op"] / 1e6:.2f} ms, overhead '
-      f'{row["overhead_fraction"] * 100:+.1f}% ({verdict} the '
-      f'{budget * 100:.0f}% budget)')
-print(f"updated {out_path}")
-EOF
-  exit 0
-fi
-
-bench="$build_dir/bench/bench_stemming_opt"
-if [[ ! -x "$bench" ]]; then
-  echo "building bench_stemming_opt in $build_dir ..." >&2
-  cmake --build "$build_dir" --target bench_stemming_opt
-fi
-
-if [[ "$overhead" -eq 1 ]]; then
-  [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-  notrace_dir="${build_dir}-notrace"
-  if [[ ! -x "$notrace_dir/bench/bench_stemming_opt" ]]; then
-    echo "configuring NO_TRACING build in $notrace_dir ..." >&2
-    # Mirror the traced build's type so the comparison isolates the
-    # instrumentation, not the optimization level.
-    build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
-      "$build_dir/CMakeCache.txt" 2>/dev/null || true)"
-    cmake -B "$notrace_dir" -S "$repo_root" \
-      -DCMAKE_BUILD_TYPE="$build_type" \
-      -DRANOMALY_NO_TRACING=ON > /dev/null
-    cmake --build "$notrace_dir" --target bench_stemming_opt -j"$(nproc)" \
-      > /dev/null
-  fi
-  raw_dir="$(mktemp -d)"
-  trap 'rm -rf "$raw_dir"' EXIT
-  filter='BM_StemmingArena/12000$'
-  # In-process repetition medians are stable on a shared box where
-  # process-to-process drift dwarfs the effect being measured; two
-  # alternating passes per binary, best median wins.
-  for rep in 1 2; do
-    if (( rep % 2 )); then order="traced notrace"; else order="notrace traced"; fi
-    for pass in $order; do
-      if [[ "$pass" == traced ]]; then b="$bench";
-      else b="$notrace_dir/bench/bench_stemming_opt"; fi
-      "$b" --benchmark_filter="$filter" --benchmark_min_time=0.1 \
-        --benchmark_repetitions=8 --benchmark_report_aggregates_only=true \
-        --benchmark_format=json > "$raw_dir/$pass.$rep.json"
-    done
-  done
-  python3 - "$raw_dir" "$out" <<'EOF'
-import glob
-import json
-import os
-import sys
-
-raw_dir, out_path = sys.argv[1], sys.argv[2]
-
-def median_ns_per_op(pattern):
-    best = None
-    name = None
-    for path in glob.glob(pattern):
-        with open(path) as f:
-            report = json.load(f)
-        for b in report["benchmarks"]:
-            if b.get("aggregate_name") != "median":
-                continue
-            scale = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}[
-                b.get("time_unit", "ns")]
-            ns = b["real_time"] * scale
-            if best is None or ns < best:
-                best = ns
-                name = b["run_name"]
-    if best is None:
-        sys.exit(f"no median aggregate matched {pattern}")
-    return name, best
-
-name, traced = median_ns_per_op(os.path.join(raw_dir, "traced.*.json"))
-_, notrace = median_ns_per_op(os.path.join(raw_dir, "notrace.*.json"))
-row = {
-    "benchmark": name,
-    "traced_ns_per_op": traced,
-    "no_tracing_ns_per_op": notrace,
-    "overhead_fraction": traced / notrace - 1.0,
-}
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result["instrumentation_overhead"] = row
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-print(f'  {name}: traced {row["traced_ns_per_op"] / 1e6:.2f} ms, '
-      f'no-tracing {row["no_tracing_ns_per_op"] / 1e6:.2f} ms, '
-      f'overhead {row["overhead_fraction"] * 100:+.1f}%')
-print(f"updated {out_path}")
-EOF
-  exit 0
-fi
-
-raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
-
-if [[ "$quick" -eq 1 ]]; then
-  [[ -n "$out" ]] || out="$build_dir/BENCH_stemming_quick.json"
-  # 12k rows only, plus the thread curve's 1-thread point; short runs.
-  "$bench" \
-    --benchmark_filter='/(12000|1)$' \
-    --benchmark_min_time=0.05 \
-    --benchmark_format=json > "$raw"
-else
-  [[ -n "$out" ]] || out="$repo_root/BENCH_stemming.json"
-  "$bench" --benchmark_format=json > "$raw"
-fi
-
-python3 - "$raw" "$out" "$quick" <<'EOF'
-import json
-import os
-import sys
-
-raw_path, out_path, quick = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
-with open(raw_path) as f:
-    report = json.load(f)
-
-runs = {}
-for b in report["benchmarks"]:
-    if b.get("run_type", "iteration") != "iteration":
-        continue
-    scale = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}[
-        b.get("time_unit", "ns")]
-    runs[b["name"]] = {"ns_per_op": b["real_time"] * scale,
-                       "cpu_ns_per_op": b["cpu_time"] * scale,
-                       "counters": {
-                           k: v for k, v in b.items()
-                           if k in ("events", "components", "threads")}}
-
-def ns(name):
-    return runs[name]["ns_per_op"] if name in runs else None
-
-def cpu_ns(name):
-    return runs[name]["cpu_ns_per_op"] if name in runs else None
-
-rows = []
-for size in (12_000, 57_000, 330_000):
-    legacy = ns(f"BM_StemmingLegacy/{size}")
-    arena = ns(f"BM_StemmingArena/{size}")
-    if legacy is None and arena is None:
-        continue
-    row = {"events": size, "legacy_ns_per_op": legacy,
-           "arena_ns_per_op": arena}
-    if legacy is not None and arena is not None and arena > 0:
-        row["speedup"] = legacy / arena
-    rows.append(row)
-
-# Wall time per point plus the *main thread's* CPU time: on a host
-# with fewer CPUs than threads, every thread count time-slices one
-# core and wall time cannot improve — but the main-thread CPU curve
-# still shows how much of the work moved to the workers, which is
-# what a multi-CPU host would turn into wall-time speedup.
-parallel = []
-for threads in (1, 2, 4, 8):
-    name = f"BM_StemmingArenaThreads/{threads}"
-    t = ns(name)
-    if t is not None:
-        parallel.append({"threads": threads, "ns_per_op": t,
-                         "main_thread_cpu_ns_per_op": cpu_ns(name)})
-
-# Merge into the existing file: the overhead and throughput rows are
-# produced by separate invocations and must survive a re-run of the
-# main benchmark.
-result = {}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        result = json.load(f)
-result.update({
-    "benchmark": "bench_stemming_opt",
-    "workload": "BerkeleyScale(23000) SpikeEvents, Table I stemming rows",
-    "mode": "quick" if quick else "full",
-    "host_cpus": os.cpu_count(),
-    "rows": rows,
-    "parallel_330k": parallel,
-})
-big = next((r for r in rows if r["events"] == 330_000 and "speedup" in r),
-           None)
-if big is not None:
-    result["serial_speedup_330k"] = big["speedup"]
-
-with open(out_path, "w") as f:
-    json.dump(result, f, indent=2)
-    f.write("\n")
-
-for r in rows:
-    s = f'  {r["events"]:>7} events: '
-    if r["legacy_ns_per_op"] is not None:
-        s += f'legacy {r["legacy_ns_per_op"] / 1e6:.1f} ms  '
-    if r["arena_ns_per_op"] is not None:
-        s += f'arena {r["arena_ns_per_op"] / 1e6:.1f} ms  '
-    if "speedup" in r:
-        s += f'speedup {r["speedup"]:.1f}x'
-    print(s)
-for p in parallel:
-    print(f'  330k @ {p["threads"]} thread(s): {p["ns_per_op"] / 1e6:.1f} ms '
-          f'wall, {p["main_thread_cpu_ns_per_op"] / 1e6:.1f} ms '
-          f'main-thread CPU')
-
-if not rows and not parallel:
-    sys.exit("no benchmark rows parsed")
-if not quick and big is not None and big["speedup"] < 5.0:
-    sys.exit(f'serial speedup at 330k is {big["speedup"]:.2f}x, below the '
-             "5x target")
-print(f"wrote {out_path}")
-EOF
+exec python3 "$repo_root/tools/bench_rows.py" --build-dir "$build_dir" \
+  --out "$out" "${quick[@]}" "${modes[@]}"
