@@ -35,32 +35,59 @@ Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
 namespace {
 
 // Dense ids for 64-bit keys (never ~0) in first-seen order: a
-// linear-probing table kept at most half full for up to `capacity`
-// distinct keys.
+// linear-probing table kept at most half full.  Sized up front for
+// `capacity` distinct keys; doubles if more arrive.
 class DenseIds {
  public:
   explicit DenseIds(std::size_t capacity) {
     std::size_t cap = 16;
     while (cap < 2 * capacity) cap <<= 1;
-    keys_.assign(cap, kEmpty);
-    ids_.assign(cap, 0);
-    mask_ = cap - 1;
+    Reset(cap);
   }
 
   std::uint32_t Id(std::uint64_t key) {
-    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL >> 20) & mask_;
-    while (keys_[slot] != kEmpty && keys_[slot] != key) {
-      slot = (slot + 1) & mask_;
-    }
+    std::size_t slot = Slot(key);
     if (keys_[slot] == kEmpty) {
       keys_[slot] = key;
       ids_[slot] = size_++;
+      if (2 * size_ > keys_.size()) {
+        Grow();
+        slot = Slot(key);
+      }
     }
     return ids_[slot];
   }
 
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  // The key's slot, or the empty slot it would take.
+  std::size_t Slot(std::uint64_t key) const {
+    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL >> 20) & mask_;
+    while (keys_[slot] != kEmpty && keys_[slot] != key) {
+      slot = (slot + 1) & mask_;
+    }
+    return slot;
+  }
+
+  void Reset(std::size_t cap) {
+    keys_.assign(cap, kEmpty);
+    ids_.assign(cap, 0);
+    mask_ = cap - 1;
+  }
+
+  void Grow() {
+    const std::vector<std::uint64_t> keys = std::move(keys_);
+    const std::vector<std::uint32_t> ids = std::move(ids_);
+    Reset(2 * keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] == kEmpty) continue;
+      const std::size_t slot = Slot(keys[i]);
+      keys_[slot] = keys[i];
+      ids_[slot] = ids[i];
+    }
+  }
+
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> ids_;
   std::size_t mask_ = 0;
@@ -125,14 +152,6 @@ IncidentEvidence Pipeline::ExtractEvidence(
     t.last = idx;
     ++t.events;
   }
-  // The sums below accumulate in prefix order.
-  std::vector<std::uint32_t> order(tracks.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&prefixes](std::uint32_t a, std::uint32_t b) {
-              return prefixes[a] < prefixes[b];
-            });
-
   const double n = static_cast<double>(n_events);
   ev.withdraw_fraction = static_cast<double>(withdraws) / n;
   std::size_t busiest = 0;
@@ -140,28 +159,46 @@ IncidentEvidence Pipeline::ExtractEvidence(
   ev.single_peer_fraction = static_cast<double>(busiest) / n;
   ev.med_present = med;
 
+  // Tracks in first-seen order: the sums add halves and integer path
+  // length differences, exact in any order; the dominant prefix is the
+  // smallest among the busiest.  ASes get a bit each for appearing in a
+  // first path (1) and in a last path (2); new ones carry only the 2.
   double cycles = 0.0;
   double growth = 0.0;
   std::size_t restored = 0;
   std::size_t final_announce = 0;
   std::size_t busiest_prefix_events = 0;
-  std::vector<bgp::AsNumber> initial_ases;
-  std::vector<bgp::AsNumber> final_ases;
-  for (const std::uint32_t i : order) {
+  DenseIds as_ids(64);
+  std::vector<std::uint8_t> as_seen;
+  const auto mark = [&as_ids, &as_seen](const bgp::AsPath& path,
+                                        std::uint8_t bits) {
+    for (const bgp::AsNumber a : path.asns()) {
+      const std::uint32_t id = as_ids.Id(a);
+      if (id == as_seen.size()) as_seen.push_back(0);
+      as_seen[id] |= bits;
+    }
+  };
+  for (std::size_t i = 0; i < tracks.size(); ++i) {
     const PrefixTrack& t = tracks[i];
     const bgp::AsPath& first_path = events[t.first].attrs.as_path;
     const bgp::AsPath& last_path = events[t.last].attrs.as_path;
-    if (t.events > busiest_prefix_events) ev.dominant_prefix = prefixes[i];
+    if (t.events > busiest_prefix_events ||
+        (t.events == busiest_prefix_events &&
+         prefixes[i] < ev.dominant_prefix)) {
+      ev.dominant_prefix = prefixes[i];
+      busiest_prefix_events = t.events;
+    }
     cycles += static_cast<double>(t.transitions) / 2.0;
     growth += static_cast<double>(last_path.Length()) -
               static_cast<double>(first_path.Length());
-    if (last_path == first_path) ++restored;
     if (t.last_type == bgp::EventType::kAnnounce) ++final_announce;
-    busiest_prefix_events = std::max(busiest_prefix_events, t.events);
-    initial_ases.insert(initial_ases.end(), first_path.asns().begin(),
-                        first_path.asns().end());
-    final_ases.insert(final_ases.end(), last_path.asns().begin(),
-                      last_path.asns().end());
+    if (last_path == first_path) {
+      ++restored;
+      mark(first_path, 3);
+    } else {
+      mark(first_path, 1);
+      mark(last_path, 2);
+    }
   }
   const double p = static_cast<double>(tracks.size());
   ev.cycles_per_prefix = cycles / p;
@@ -169,15 +206,8 @@ IncidentEvidence Pipeline::ExtractEvidence(
   ev.restored_fraction = static_cast<double>(restored) / p;
   ev.final_announce_fraction = static_cast<double>(final_announce) / p;
   ev.dominant_prefix_fraction = static_cast<double>(busiest_prefix_events) / n;
-  for (std::vector<bgp::AsNumber>* ases : {&initial_ases, &final_ases}) {
-    std::sort(ases->begin(), ases->end());
-    ases->erase(std::unique(ases->begin(), ases->end()), ases->end());
-  }
-  for (const bgp::AsNumber a : final_ases) {
-    if (!std::binary_search(initial_ases.begin(), initial_ases.end(), a)) {
-      ++ev.new_as_count;
-    }
-  }
+  ev.new_as_count = static_cast<std::size_t>(
+      std::count(as_seen.begin(), as_seen.end(), std::uint8_t{2}));
   return ev;
 }
 

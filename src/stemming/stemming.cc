@@ -392,92 +392,6 @@ std::vector<std::uint64_t> OrderedDedupU64(std::size_t items,
 }
 
 // ---------------------------------------------------------------------------
-// Open-addressed k-gram table: maps length-k symbol spans to a count.
-// Distinct keys are appended to a flat backing store (k symbols each), so
-// lookups compare against contiguous memory and iteration is allocation-
-// free.  Doubles as the survivor set during iterative lengthening.
-
-class NgramTable {
- public:
-  void Reset(std::size_t k) {
-    k_ = k;
-    keys_.clear();
-    counts_.clear();
-    std::fill(slots_.begin(), slots_.end(), 0u);
-  }
-
-  double& Count(const SymbolId* gram) {
-    if (slots_.empty() || (counts_.size() + 1) * 10 > slots_.size() * 7) {
-      Grow(slots_.empty() ? 32 : slots_.size() * 2);
-    }
-    std::size_t i = Hash(gram) & mask_;
-    while (slots_[i] != 0) {
-      const std::uint32_t e = slots_[i] - 1;
-      if (std::equal(gram, gram + k_, keys_.data() + e * k_)) {
-        return counts_[e];
-      }
-      i = (i + 1) & mask_;
-    }
-    slots_[i] = static_cast<std::uint32_t>(counts_.size()) + 1;
-    keys_.insert(keys_.end(), gram, gram + k_);
-    counts_.push_back(0.0);
-    return counts_.back();
-  }
-
-  const double* Find(const SymbolId* gram) const {
-    if (slots_.empty()) return nullptr;
-    std::size_t i = Hash(gram) & mask_;
-    while (slots_[i] != 0) {
-      const std::uint32_t e = slots_[i] - 1;
-      if (std::equal(gram, gram + k_, keys_.data() + e * k_)) {
-        return &counts_[e];
-      }
-      i = (i + 1) & mask_;
-    }
-    return nullptr;
-  }
-
-  // f(const SymbolId* gram, double count), in first-insertion order.
-  template <typename F>
-  void ForEach(F&& f) const {
-    for (std::size_t e = 0; e < counts_.size(); ++e) {
-      f(keys_.data() + e * k_, counts_[e]);
-    }
-  }
-
-  std::size_t size() const { return counts_.size(); }
-  std::size_t k() const { return k_; }
-  bool empty() const { return counts_.empty(); }
-
- private:
-  std::uint64_t Hash(const SymbolId* gram) const {
-    // One multiply per symbol and one finalizer (slot positions only;
-    // iteration follows insertion order whatever the hash).
-    std::uint64_t h = k_;
-    for (std::size_t i = 0; i < k_; ++i) {
-      h = (h ^ gram[i]) * 0x9e3779b97f4a7c15ULL;
-    }
-    return Mix64(h);
-  }
-
-  void Grow(std::size_t cap) {
-    slots_.assign(cap, 0u);
-    mask_ = cap - 1;
-    for (std::uint32_t e = 0; e < counts_.size(); ++e) {
-      std::size_t i = Hash(keys_.data() + e * k_) & mask_;
-      while (slots_[i] != 0) i = (i + 1) & mask_;
-      slots_[i] = e + 1;
-    }
-  }
-
-  std::size_t k_ = 2;
-  std::vector<std::uint32_t> slots_;  // entry index + 1; 0 = empty
-  std::vector<SymbolId> keys_;        // flat, k_ symbols per entry
-  std::vector<double> counts_;
-  std::size_t mask_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // The batch encoder's posting lists: built once over the arena as CSR
 // arrays.  This is what lets component extraction touch candidates
 // instead of scanning every active class.
@@ -522,17 +436,13 @@ bool ContainsSpan(const SymbolId* seq, std::size_t len, const SymbolId* sub,
 
 // Reused allocations for the per-component search.  The chunk_* members
 // hold per-chunk partials for the pool-dispatched extract passes:
-// indexed by chunk, merged in chunk order, and reused across lengthening
-// levels and components to avoid allocator churn.  (Per-chunk — never
-// per-slot — because slot assignment is the one thing the pool does not
-// keep deterministic.)
+// indexed by chunk, merged in chunk order, and reused across components
+// to avoid allocator churn.  (Per-chunk — never per-slot — because slot
+// assignment is the one thing the pool does not keep deterministic.)
 struct Scratch {
-  NgramTable survivors;
-  NgramTable extended;
-  std::vector<std::uint32_t> candidates;
-  std::vector<std::uint64_t> candidate_bits;  // per class; zero between uses
-  std::vector<char> entry_mark;  // bigram entries surviving at length 2
-  std::vector<NgramTable> chunk_tables;
+  std::vector<std::uint32_t> survivors;  // max-count bigram entries, ascending
+  std::vector<char> interior;            // per survivor: inside a longer chain
+  std::vector<SymbolId> chain;
   std::vector<std::vector<std::uint32_t>> chunk_ids;
   std::vector<std::vector<SymbolId>> chunk_prefixes;
   // Subtract pass: sparse (entry, delta) lists per chunk, built in
@@ -541,19 +451,60 @@ struct Scratch {
   std::vector<std::vector<double>> slot_deltas;
   std::vector<std::vector<std::uint32_t>> slot_touched;
   std::vector<double> chunk_max;
-  std::vector<const std::uint32_t*> range_starts;  // posting list per range
-  std::vector<std::uint32_t> range_bases;   // cumulative virtual offsets
-  std::vector<std::uint32_t> removed;       // classes of the current component
+  std::vector<std::uint32_t> removed;  // classes of the current component
 };
+
+// The longest continuation shared by every active positive-weight
+// occurrence of bigram `entry`: the arena position of the first such
+// occurrence and how many symbols past the bigram all of them agree on.
+// nullopt when no occurrence is active.
+std::optional<std::pair<std::size_t, std::size_t>> CommonContinuation(
+    const Arena& arena, const std::vector<char>& active,
+    const ClassIndex& index, std::uint32_t entry) {
+  std::optional<std::pair<std::size_t, std::size_t>> common;
+  std::uint32_t last = kNoIndex;
+  for (const std::uint32_t cls : index.BigramClasses(entry)) {
+    if (cls == last) continue;  // one visit covers all its positions
+    last = cls;
+    const EventView& view = arena.views[cls];
+    if (!active[cls] || !(view.weight > 0.0)) continue;
+    for (std::uint32_t j = 0; j + 1 < view.length; ++j) {
+      if (arena.pair_entries[view.begin + j] != entry) continue;
+      const std::size_t pos = view.begin + j;
+      const std::size_t len = view.length - j - 2;
+      if (!common) {
+        common.emplace(pos, len);
+      } else {
+        auto& [ref, ref_len] = *common;
+        std::size_t t = 0;
+        while (t < ref_len && t < len &&
+               arena.symbols[ref + 2 + t] == arena.symbols[pos + 2 + t]) {
+          ++t;
+        }
+        ref_len = t;
+      }
+      if (common->second == 0) return common;
+    }
+  }
+  return common;
+}
 
 // Finds the top-ranked sub-sequence (count desc, length desc, then
 // lexicographically smallest raw values for determinism) over active classes,
 // reading bigram counts from the persistent (incrementally maintained)
-// table.  Returns nullopt if no bigram reaches min_count.  The scan,
-// candidate-collection, and re-scoring passes are sharded on the pool
-// with input-derived grains (options.scan_grain / candidate_grain);
-// per-chunk partials merge in chunk order, so the pick — including the
-// last bits of every weighted count — is unchanged by the thread count.
+// table.  Returns nullopt if no bigram reaches min_count.  The max scan
+// and the survivor collection are sharded on the pool with an
+// input-derived grain (options.scan_grain); per-chunk partials merge in
+// chunk order, so the pick is unchanged by the thread count.
+//
+// Lengthening is one walk of a posting list per chain.  Every occurrence
+// of a max-count gram g is an occurrence of its leading bigram s, whose
+// count is the maximum too, so g's positive-weight occurrences are
+// exactly s's: g keeps the maximum iff all of them continue with g's
+// tail.  The longest survivor starting with s is therefore s plus the
+// longest common continuation of s's active positive-weight occurrences.
+// A survivor bigram inside an earlier chain starts a strictly shorter
+// chain (the same occurrences, shifted) and is skipped.
 std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
     const Arena& arena, const SymbolTable& symbols,
     const std::vector<char>& active, const ClassIndex& index,
@@ -588,9 +539,8 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
   }
 
   // Survivors at length 2, collected per chunk and merged in chunk (=
-  // entry) order.  `entry_mark` mirrors the survivor set by entry id so
-  // the first lengthening level can test membership with an array load
-  // instead of a hash probe per position.
+  // entry) order, so the list is ascending and a chain's interior
+  // bigrams are found in it by binary search.
   if (scratch.chunk_ids.size() < scan_chunks) {
     scratch.chunk_ids.resize(scan_chunks);
   }
@@ -606,174 +556,49 @@ std::optional<std::pair<std::vector<SymbolId>, double>> TopSubsequence(
           }
         }
       });
-  scratch.survivors.Reset(2);
-  scratch.entry_mark.assign(n_entries, 0);
+  std::vector<std::uint32_t>& survivors = scratch.survivors;
+  survivors.clear();
   for (std::size_t c = 0; c < scan_chunks; ++c) {
-    for (const std::uint32_t e : scratch.chunk_ids[c]) {
-      const std::uint64_t key = index.BigramKey(e);
-      const SymbolId pair[2] = {static_cast<SymbolId>(key >> 32),
-                                static_cast<SymbolId>(key)};
-      scratch.survivors.Count(pair) = bigram_counts[e];
-      scratch.entry_mark[e] = 1;
-    }
+    survivors.insert(survivors.end(), scratch.chunk_ids[c].begin(),
+                     scratch.chunk_ids[c].end());
   }
+  scratch.interior.assign(survivors.size(), 0);
 
-  // Iterative lengthening: a (k+1)-gram can keep the max count only if
-  // its k-prefix does.  Count extensions of current survivors — over the
-  // posting-list candidates only — until no survivor remains.
-  std::vector<std::vector<SymbolId>> last_survivors;
-  std::size_t k = 2;
-  while (!scratch.survivors.empty()) {
-    last_survivors.clear();
-    scratch.survivors.ForEach([&](const SymbolId* gram, double) {
-      last_survivors.emplace_back(gram, gram + k);
-    });
-
-    // Candidate classes: union of the survivors' leading-bigram
-    // postings, viewed as one virtual concatenated index space so the
-    // scan shards evenly however many survivors there are.  Per-chunk
-    // hits merge into a class bitmap that reads back sorted and unique —
-    // the same sorted candidate set the serial mark-based walk produced.
-    scratch.range_starts.clear();
-    scratch.range_bases.clear();
-    std::uint32_t virt = 0;
-    scratch.survivors.ForEach([&](const SymbolId* gram, double) {
-      const std::uint32_t e = index.EntryOf(gram[0], gram[1]);
-      if (e == ClassIndex::kNoEntry) return;
-      const std::span<const std::uint32_t> classes = index.BigramClasses(e);
-      scratch.range_bases.push_back(virt);
-      scratch.range_starts.push_back(classes.data());
-      virt += static_cast<std::uint32_t>(classes.size());
-    });
-    scratch.range_bases.push_back(virt);
-    const std::size_t cand_chunks =
-        util::ThreadPool::ChunksFor(virt, scan_grain);
-    if (scratch.chunk_ids.size() < cand_chunks) {
-      scratch.chunk_ids.resize(cand_chunks);
-    }
-    *parallel_seconds += ParallelRegion(
-        pool, cand_chunks, [&](std::size_t c, std::size_t) {
-          std::vector<std::uint32_t>& ids = scratch.chunk_ids[c];
-          ids.clear();
-          const auto [vb, ve] =
-              util::ThreadPool::ChunkRange(virt, scan_grain, c);
-          std::size_t r =
-              static_cast<std::size_t>(
-                  std::upper_bound(scratch.range_bases.begin(),
-                                   scratch.range_bases.end(),
-                                   static_cast<std::uint32_t>(vb)) -
-                  scratch.range_bases.begin()) -
-              1;
-          std::uint32_t last = kNoIndex;
-          for (std::size_t v = vb; v < ve; ++v) {
-            while (v >= scratch.range_bases[r + 1]) {
-              ++r;
-              last = kNoIndex;  // adjacent-dup skip is per posting list
-            }
-            const std::uint32_t id =
-                scratch.range_starts[r][static_cast<std::uint32_t>(v) -
-                                        scratch.range_bases[r]];
-            if (id == last) continue;
-            last = id;
-            if (active[id]) ids.push_back(id);
-          }
-        });
-    scratch.candidates.clear();
-    std::vector<std::uint64_t>& bits = scratch.candidate_bits;
-    if (bits.size() != (arena.views.size() + 63) / 64) {
-      bits.assign((arena.views.size() + 63) / 64, 0);
-    }
-    for (std::size_t c = 0; c < cand_chunks; ++c) {
-      for (const std::uint32_t id : scratch.chunk_ids[c]) {
-        bits[id >> 6] |= std::uint64_t{1} << (id & 63);
-      }
-    }
-    for (std::size_t w = 0; w < bits.size(); ++w) {
-      for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
-        scratch.candidates.push_back(static_cast<std::uint32_t>(
-            w * 64 + static_cast<std::size_t>(__builtin_ctzll(word))));
-      }
-      bits[w] = 0;
-    }
-
-    // Re-scoring: each chunk counts its candidate range into its own
-    // k+1-gram table; tables merge in chunk order, so weighted counts
-    // accumulate in the same association at any thread count.
-    const std::size_t candidate_grain =
-        std::max<std::size_t>(1, options.candidate_grain);
-    const std::size_t score_chunks =
-        util::ThreadPool::ChunksFor(scratch.candidates.size(),
-                                    candidate_grain);
-    if (scratch.chunk_tables.size() < score_chunks) {
-      scratch.chunk_tables.resize(score_chunks);
-    }
-    *parallel_seconds += ParallelRegion(
-        pool, score_chunks, [&](std::size_t c, std::size_t) {
-          NgramTable& table = scratch.chunk_tables[c];
-          table.Reset(k + 1);
-          const auto [cb, ce] = util::ThreadPool::ChunkRange(
-              scratch.candidates.size(), candidate_grain, c);
-          if (k == 2) {
-            // First level runs over every candidate position; membership
-            // in the survivor set is a lookup on the recorded entry ids,
-            // not a hash.
-            for (std::size_t ci = cb; ci < ce; ++ci) {
-              const std::uint32_t id = scratch.candidates[ci];
-              const EventView& view = arena.views[id];
-              if (view.length < 3) continue;
-              const SymbolId* seq = arena.Seq(id);
-              const double weight = view.weight;
-              for (std::uint32_t j = 0; j + 2 < view.length; ++j) {
-                if (scratch.entry_mark[arena.pair_entries[view.begin + j]]) {
-                  table.Count(seq + j) += weight;
-                }
-              }
-            }
-          } else {
-            for (std::size_t ci = cb; ci < ce; ++ci) {
-              const std::uint32_t id = scratch.candidates[ci];
-              const SymbolId* seq = arena.Seq(id);
-              const std::size_t len = arena.Len(id);
-              if (len < k + 1) continue;
-              const double weight = arena.views[id].weight;
-              for (std::size_t j = 0; j + k < len; ++j) {
-                if (scratch.survivors.Find(seq + j) != nullptr) {
-                  table.Count(seq + j) += weight;
-                }
-              }
-            }
-          }
-        });
-    scratch.extended.Reset(k + 1);
-    for (std::size_t c = 0; c < score_chunks; ++c) {
-      scratch.chunk_tables[c].ForEach([&](const SymbolId* gram, double count) {
-        scratch.extended.Count(gram) += count;
-      });
-    }
-
-    scratch.survivors.Reset(k + 1);
-    scratch.extended.ForEach([&](const SymbolId* gram, double count) {
-      if (CountsEqual(count, best_count)) {
-        scratch.survivors.Count(gram) = count;
-      }
-    });
-    ++k;
-  }
-
-  // Deterministic pick among the longest survivors: lexicographically
+  // Deterministic pick among the longest chains: lexicographically
   // smallest by raw tagged value, never by SymbolId.  Ids are first-seen
   // interning order, so comparing them would make the pick depend on
   // event order (and differ between windows holding the same events).
-  std::vector<SymbolId> best = *std::min_element(
-      last_survivors.begin(), last_survivors.end(),
-      [&symbols](const std::vector<SymbolId>& a,
-                 const std::vector<SymbolId>& b) {
-        return std::lexicographical_compare(
-            a.begin(), a.end(), b.begin(), b.end(),
-            [&symbols](SymbolId x, SymbolId y) {
-              return symbols.Raw(x) < symbols.Raw(y);
-            });
-      });
+  const auto raw_less = [&symbols](SymbolId x, SymbolId y) {
+    return symbols.Raw(x) < symbols.Raw(y);
+  };
+  std::vector<SymbolId> best;
+  std::vector<SymbolId>& chain = scratch.chain;
+  for (std::size_t si = 0; si < survivors.size(); ++si) {
+    if (scratch.interior[si]) continue;
+    const std::uint32_t entry = survivors[si];
+    const std::uint64_t key = index.BigramKey(entry);
+    chain.assign({static_cast<SymbolId>(key >> 32), static_cast<SymbolId>(key)});
+    if (const auto common = CommonContinuation(arena, active, index, entry)) {
+      const auto [pos, len] = *common;
+      chain.insert(chain.end(), arena.symbols.begin() + pos + 2,
+                   arena.symbols.begin() + pos + 2 + len);
+      // Interior bigrams (chain positions 1 .. size-2) head shorter chains.
+      for (std::size_t i = 1; i + 1 < chain.size(); ++i) {
+        const std::uint32_t inner = arena.pair_entries[pos + i];
+        const auto it =
+            std::lower_bound(survivors.begin(), survivors.end(), inner);
+        if (it != survivors.end() && *it == inner) {
+          scratch.interior[it - survivors.begin()] = 1;
+        }
+      }
+    }
+    if (chain.size() > best.size() ||
+        (chain.size() == best.size() &&
+         std::lexicographical_compare(chain.begin(), chain.end(),
+                                      best.begin(), best.end(), raw_less))) {
+      best = chain;
+    }
+  }
   return std::make_pair(std::move(best), best_count);
 }
 
@@ -876,7 +701,9 @@ void ExtractComponents(const ExtractInput& input,
     // would subtract 0.0, a no-op, so this is bit-identical to merging
     // dense per-chunk deltas — and the persistent counts stay
     // bit-identical at any thread count — at a cost proportional to the
-    // removed classes rather than to the bigram table.
+    // removed classes rather than to the bigram table.  The component
+    // that ends the loop (the max_components-th, or one that leaves no
+    // active class) skips the subtract: no later search reads the counts.
     const std::uint32_t comp_id =
         static_cast<std::uint32_t>(result.components.size());
     scratch.removed.clear();
@@ -891,8 +718,13 @@ void ExtractComponents(const ExtractInput& input,
     }
     const std::size_t removal_grain =
         std::max<std::size_t>(1, options.removal_grain);
+    const bool ends_loop =
+        result.components.size() + 1 >= options.max_components ||
+        active_count == 0;
     const std::size_t rchunks =
-        util::ThreadPool::ChunksFor(scratch.removed.size(), removal_grain);
+        ends_loop ? 0
+                  : util::ThreadPool::ChunksFor(scratch.removed.size(),
+                                                removal_grain);
     if (scratch.chunk_deltas.size() < rchunks) {
       scratch.chunk_deltas.resize(rchunks);
     }

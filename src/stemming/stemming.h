@@ -14,14 +14,14 @@
 // Implementation note: counts are antitone in sequence extension
 // (count(s) <= count(any substring of s)), so the maximum count over
 // length >= 2 sub-sequences is always attained by some bigram.  We count
-// bigrams in one pass, then iteratively lengthen only sequences that
-// retain the maximum count — exact, and linear-ish in the stream size
-// instead of quadratic in path length.
+// bigrams in one pass, then lengthen each max-count bigram by the longest
+// continuation all its occurrences share (one walk of its posting list)
+// — exact, and linear-ish in the stream size instead of quadratic in
+// path length.
 //
 // Counting backend (DESIGN.md "Arena counting backend"): event sequences
 // live in one flat SymbolId arena with per-event (offset, length) views;
-// sub-sequence counts use open-addressed tables keyed by arena spans; a
-// bigram posting-list index maps each adjacent pair to the events
+// a bigram posting-list index maps each adjacent pair to the events
 // containing it, so component extraction visits candidates instead of
 // the whole window; and the bigram count table is persistent across the
 // recursion — removing a component *subtracts* its events' contributions
@@ -135,7 +135,7 @@ struct StemmingOptions {
   // multi-chunk execution on small inputs.
   std::size_t encode_shard_events = 32768;  // events per encode dedup shard
   std::size_t scan_grain = 8192;       // entries/posting slots per scan chunk
-  std::size_t candidate_grain = 2048;  // classes per re-scoring chunk
+  std::size_t candidate_grain = 2048;  // classes per batch-encoder chunk
   std::size_t removal_grain = 2048;    // removed classes per subtract chunk
 };
 

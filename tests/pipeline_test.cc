@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "obs/metrics.h"
+#include "stemming/window_stemmer.h"
 #include "workload/eventgen.h"
+#include "workload/internet_scale.h"
 
 namespace ranomaly::core {
 namespace {
@@ -188,6 +192,240 @@ TEST(EvidenceTest, ExtractsWithdrawFractionAndCycles) {
   EXPECT_DOUBLE_EQ(evidence.final_announce_fraction, 1.0);
   EXPECT_DOUBLE_EQ(evidence.dominant_prefix_fraction, 1.0);
   EXPECT_EQ(evidence.new_as_count, 0u);
+}
+
+// ExtractEvidence as it was when it sorted: tracks in prefix order for
+// the sums and the dominant prefix, sort/unique for the AS sets.  Kept
+// verbatim as the oracle for the unsorted version.
+namespace sorted_reference {
+
+// Dense ids for 64-bit keys (never ~0) in first-seen order: a
+// linear-probing table kept at most half full for up to `capacity`
+// distinct keys.
+class DenseIds {
+ public:
+  explicit DenseIds(std::size_t capacity) {
+    std::size_t cap = 16;
+    while (cap < 2 * capacity) cap <<= 1;
+    keys_.assign(cap, kEmpty);
+    ids_.assign(cap, 0);
+    mask_ = cap - 1;
+  }
+
+  std::uint32_t Id(std::uint64_t key) {
+    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL >> 20) & mask_;
+    while (keys_[slot] != kEmpty && keys_[slot] != key) {
+      slot = (slot + 1) & mask_;
+    }
+    if (keys_[slot] == kEmpty) {
+      keys_[slot] = key;
+      ids_[slot] = size_++;
+    }
+    return ids_[slot];
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> ids_;
+  std::size_t mask_ = 0;
+  std::uint32_t size_ = 0;
+};
+
+
+IncidentEvidence ExtractEvidence(
+    std::span<const bgp::Event> events,
+    const stemming::Component& component) {
+  IncidentEvidence ev;
+  if (component.event_indices.empty()) return ev;
+
+  std::size_t withdraws = 0;
+  bool med = false;
+
+  // Per-prefix first and last observation, and cycle counts.  A
+  // "transition" is an announce<->withdraw flip OR an announcement whose
+  // nexthop differs from the previous one: at a route reflector with full
+  // visibility an oscillation shows up as implicit replacements between
+  // alternatives, with few explicit withdrawals.  Paths are read through
+  // the first/last event indices rather than copied per event.
+  struct PrefixTrack {
+    std::size_t first = 0;  // event index of the first observation
+    std::size_t last = 0;   // event index of the latest observation
+    bgp::EventType last_type = bgp::EventType::kAnnounce;
+    std::size_t transitions = 0;
+    std::size_t events = 0;
+  };
+  // Tracks and per-peer counts are born in first-seen order.
+  const std::size_t n_events = component.event_indices.size();
+  DenseIds prefix_ids(n_events);
+  DenseIds peer_ids(n_events);
+  std::vector<bgp::Prefix> prefixes;  // per track
+  std::vector<PrefixTrack> tracks;
+  std::vector<std::size_t> per_peer;
+
+  for (const std::size_t idx : component.event_indices) {
+    const bgp::Event& e = events[idx];
+    if (e.type == bgp::EventType::kWithdraw) ++withdraws;
+    const std::uint32_t peer = peer_ids.Id(e.peer.value());
+    if (peer == per_peer.size()) per_peer.push_back(0);
+    ++per_peer[peer];
+    if (e.attrs.med) med = true;
+
+    const std::uint32_t track = prefix_ids.Id(
+        (static_cast<std::uint64_t>(e.prefix.addr().value()) << 8) |
+        e.prefix.length());
+    if (track == tracks.size()) {
+      tracks.push_back(PrefixTrack{idx, idx, e.type, 0, 1});
+      prefixes.push_back(e.prefix);
+      continue;
+    }
+    PrefixTrack& t = tracks[track];
+    if (e.type != t.last_type ||
+        (e.type == bgp::EventType::kAnnounce &&
+         e.attrs.nexthop != events[t.last].attrs.nexthop)) {
+      ++t.transitions;
+      t.last_type = e.type;
+    }
+    t.last = idx;
+    ++t.events;
+  }
+  // The sums below accumulate in prefix order.
+  std::vector<std::uint32_t> order(tracks.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&prefixes](std::uint32_t a, std::uint32_t b) {
+              return prefixes[a] < prefixes[b];
+            });
+
+  const double n = static_cast<double>(n_events);
+  ev.withdraw_fraction = static_cast<double>(withdraws) / n;
+  std::size_t busiest = 0;
+  for (const std::size_t count : per_peer) busiest = std::max(busiest, count);
+  ev.single_peer_fraction = static_cast<double>(busiest) / n;
+  ev.med_present = med;
+
+  double cycles = 0.0;
+  double growth = 0.0;
+  std::size_t restored = 0;
+  std::size_t final_announce = 0;
+  std::size_t busiest_prefix_events = 0;
+  std::vector<bgp::AsNumber> initial_ases;
+  std::vector<bgp::AsNumber> final_ases;
+  for (const std::uint32_t i : order) {
+    const PrefixTrack& t = tracks[i];
+    const bgp::AsPath& first_path = events[t.first].attrs.as_path;
+    const bgp::AsPath& last_path = events[t.last].attrs.as_path;
+    if (t.events > busiest_prefix_events) ev.dominant_prefix = prefixes[i];
+    cycles += static_cast<double>(t.transitions) / 2.0;
+    growth += static_cast<double>(last_path.Length()) -
+              static_cast<double>(first_path.Length());
+    if (last_path == first_path) ++restored;
+    if (t.last_type == bgp::EventType::kAnnounce) ++final_announce;
+    busiest_prefix_events = std::max(busiest_prefix_events, t.events);
+    initial_ases.insert(initial_ases.end(), first_path.asns().begin(),
+                        first_path.asns().end());
+    final_ases.insert(final_ases.end(), last_path.asns().begin(),
+                      last_path.asns().end());
+  }
+  const double p = static_cast<double>(tracks.size());
+  ev.cycles_per_prefix = cycles / p;
+  ev.path_growth = growth / p;
+  ev.restored_fraction = static_cast<double>(restored) / p;
+  ev.final_announce_fraction = static_cast<double>(final_announce) / p;
+  ev.dominant_prefix_fraction = static_cast<double>(busiest_prefix_events) / n;
+  for (std::vector<bgp::AsNumber>* ases : {&initial_ases, &final_ases}) {
+    std::sort(ases->begin(), ases->end());
+    ases->erase(std::unique(ases->begin(), ases->end()), ases->end());
+  }
+  for (const bgp::AsNumber a : final_ases) {
+    if (!std::binary_search(initial_ases.begin(), initial_ases.end(), a)) {
+      ++ev.new_as_count;
+    }
+  }
+  return ev;
+}
+
+}  // namespace sorted_reference
+
+// Slides a 5-minute window over `stream` in 10 s ticks, as the live
+// runner does, and checks every field of every component's evidence
+// against the sorted oracle.  Returns the number of components checked.
+std::size_t ExpectEvidenceMatchesSortedOnReplay(
+    const collector::EventStream& stream) {
+  std::vector<bgp::Event> events;
+  for (const bgp::Event& e : stream.events()) {
+    if (!bgp::IsMarker(e.type)) events.push_back(e);
+  }
+  if (events.empty()) return 0;
+  stemming::StemmingOptions options;
+  options.min_count = 1.0;  // also check the small components
+  stemming::WindowStemmer stemmer(options);
+  const util::SimDuration tick = 10 * kSecond;
+  const util::SimDuration window = 5 * kMinute;
+  std::size_t front = 0;
+  std::size_t next = 0;
+  std::size_t checked = 0;
+  for (util::SimTime tick_end = events.front().time + tick;
+       next < events.size(); tick_end += tick) {
+    std::size_t evicted = 0;
+    while (front < next && events[front].time < tick_end - window) {
+      ++front;
+      ++evicted;
+    }
+    const std::size_t arrivals = next;
+    while (next < events.size() && events[next].time < tick_end) ++next;
+    stemmer.PopFront(evicted);
+    stemmer.PushBack(
+        std::span<const bgp::Event>(events).subspan(arrivals, next - arrivals));
+    const std::span<const bgp::Event> current =
+        std::span<const bgp::Event>(events).subspan(front, next - front);
+    for (const stemming::Component& c : stemmer.Extract().components) {
+      const IncidentEvidence want =
+          sorted_reference::ExtractEvidence(current, c);
+      const IncidentEvidence got = Pipeline::ExtractEvidence(current, c);
+      EXPECT_EQ(got.withdraw_fraction, want.withdraw_fraction);
+      EXPECT_EQ(got.single_peer_fraction, want.single_peer_fraction);
+      EXPECT_EQ(got.cycles_per_prefix, want.cycles_per_prefix);
+      EXPECT_EQ(got.path_growth, want.path_growth);
+      EXPECT_EQ(got.new_as_count, want.new_as_count);
+      EXPECT_EQ(got.med_present, want.med_present);
+      EXPECT_EQ(got.restored_fraction, want.restored_fraction);
+      EXPECT_EQ(got.final_announce_fraction, want.final_announce_fraction);
+      EXPECT_EQ(got.dominant_prefix_fraction, want.dominant_prefix_fraction);
+      EXPECT_EQ(got.dominant_prefix, want.dominant_prefix);
+      if (::testing::Test::HasFailure()) return checked;
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+TEST(EvidenceTest, MatchesSortedOracleOnChurnReplay) {
+  const auto internet = SmallInternet();
+  workload::EventStreamGenerator gen(internet, 7);
+  gen.SessionReset(0, 8 * kMinute, 30 * kSecond, 5 * kSecond);
+  gen.SessionReset(1, 14 * kMinute, 30 * kSecond, 5 * kSecond);
+  gen.SessionReset(2, 20 * kMinute, 30 * kSecond, 5 * kSecond);
+  gen.Tier1Failover(0, 1, 25 * kMinute, 15 * kSecond);
+  gen.PrefixOscillation(9, 0, 30 * kMinute, 20 * kSecond);
+  gen.Churn(0, 30 * kMinute, 6000);
+  EXPECT_GT(ExpectEvidenceMatchesSortedOnReplay(gen.Take()), 500u);
+}
+
+TEST(EvidenceTest, MatchesSortedOracleOnInternetScaleReplay) {
+  workload::InternetScaleOptions options;
+  options.as_count = 1200;
+  options.tier1_count = 6;
+  options.mid_tier_count = 100;
+  options.prefix_count = 3000;
+  options.monitored_peer_count = 3;
+  options.table_dump_duration = 3 * kMinute;
+  options.churn_duration = 8 * kMinute;
+  options.threads = 1;
+  std::string error;
+  const auto built = workload::BuildInternetScale(options, &error);
+  ASSERT_TRUE(built.has_value()) << error;
+  EXPECT_GT(ExpectEvidenceMatchesSortedOnReplay(built->stream), 100u);
 }
 
 // The determinism contract at pipeline level: the threaded analysis

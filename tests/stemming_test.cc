@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "stemming/stemming.h"
+#include "stemming/window_stemmer.h"
 #include "util/thread_pool.h"
 #include "workload/eventgen.h"
 
@@ -595,7 +596,7 @@ TEST_P(StemmingEquivalenceTest, ThreadPoolPathMatchesSerial) {
 }
 
 // Shrunken grains force every parallel stage (sharded encode dedup,
-// posting/candidate scans, re-scoring, subtract-on-removal) through
+// max-count and posting scans, subtract-on-removal) through
 // genuinely multi-chunk execution on a test-sized window.  Unweighted
 // counts are integer sums, so even a different chunking must reproduce
 // the default configuration exactly — and the pooled runs must match
@@ -758,6 +759,217 @@ INSTANTIATE_TEST_SUITE_P(Workloads, StemmingEquivalenceTest,
 TEST(StemmingEquivalenceTest, Figure4MatchesReference) {
   const auto events = Figure4Events();
   ExpectIdenticalResults(reference::ReferenceStem(events), Stem(events));
+}
+
+// ---------------------------------------------------------------------------
+// Randomized oracle for the top-sub-sequence search.  The arena path
+// lengthens a max-count bigram by one walk of its posting list (the
+// longest continuation common to every occurrence) and skips bigrams
+// inside an earlier chain; the reference re-counts every level.  Windows
+// over a four-AS alphabet make that walk's edge cases common: max-count
+// bigrams whose occurrences end their class, AS loops whose repeats
+// overlap (1 2 1 2), equally long chains that tie, and chains whose
+// interior bigram got a lower entry id (in an earlier, since removed or
+// expired, class) than the chain's leading bigram.
+// ---------------------------------------------------------------------------
+
+Event SmallEvent(std::uint32_t peer, std::uint32_t nexthop,
+                 std::vector<bgp::AsNumber> path, std::uint32_t prefix) {
+  Event e;
+  e.peer = Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(peer));
+  e.type = EventType::kWithdraw;
+  e.prefix = Prefix(Ipv4Addr(20, 0, static_cast<std::uint8_t>(prefix), 0), 24);
+  e.attrs.nexthop = Ipv4Addr(10, 1, 0, static_cast<std::uint8_t>(nexthop));
+  e.attrs.as_path = AsPath(std::move(path));
+  return e;
+}
+
+// Motifs (a random path repeated over random prefixes) plant max-count
+// chains and ties; short noise paths over the same alphabet put their
+// bigrams elsewhere, often first.
+std::vector<Event> RandomSmallAlphabetWindow(std::mt19937_64& rng) {
+  const auto pick = [&rng](std::uint32_t n) {
+    return static_cast<std::uint32_t>(rng() % n);
+  };
+  const auto path = [&pick](std::size_t len) {
+    std::vector<bgp::AsNumber> asns;
+    for (std::size_t i = 0; i < len; ++i) asns.push_back(1 + pick(4));
+    return asns;
+  };
+  std::vector<Event> events;
+  const std::size_t motifs = 1 + pick(3);
+  for (std::size_t m = 0; m < motifs; ++m) {
+    const std::vector<bgp::AsNumber> motif = path(2 + pick(5));
+    const std::uint32_t peer = 1 + pick(2);
+    const std::uint32_t nexthop = 1 + pick(2);
+    const std::size_t reps = 2 + pick(4);
+    for (std::size_t r = 0; r < reps; ++r) {
+      events.push_back(SmallEvent(peer, nexthop, motif, pick(6)));
+    }
+  }
+  const std::size_t noise = pick(10);
+  for (std::size_t i = 0; i < noise; ++i) {
+    events.push_back(
+        SmallEvent(1 + pick(2), 1 + pick(2), path(1 + pick(6)), pick(6)));
+  }
+  std::shuffle(events.begin(), events.end(), rng);
+  return events;
+}
+
+// Components compared through raw symbol values: a window stemmer's
+// result names its own (re-homed) symbol table.
+void ExpectSameRawComponents(const StemmingResult& want,
+                             const StemmingResult& got) {
+  EXPECT_EQ(want.total_events, got.total_events);
+  EXPECT_EQ(want.total_weight, got.total_weight);
+  EXPECT_EQ(want.residual_events, got.residual_events);
+  ASSERT_EQ(want.components.size(), got.components.size());
+  for (std::size_t c = 0; c < want.components.size(); ++c) {
+    const Component& a = want.components[c];
+    const Component& b = got.components[c];
+    EXPECT_EQ(RawSequence(want, a.top_sequence),
+              RawSequence(got, b.top_sequence))
+        << "component " << c;
+    EXPECT_EQ(a.count, b.count) << "component " << c;
+    EXPECT_EQ(a.prefixes, b.prefixes) << "component " << c;
+    EXPECT_EQ(a.event_indices, b.event_indices) << "component " << c;
+    EXPECT_EQ(a.event_weight, b.event_weight) << "component " << c;
+  }
+}
+
+// Checks `window` against the reference: the batch Stem serially and on
+// 2/4/8-thread pools with every grain shrunk, and a window stemmer that
+// first held (and expired) `expired`, so dead classes own the lowest
+// class and entry ids.
+void ExpectWindowMatchesReference(const std::vector<Event>& expired,
+                                  const std::vector<Event>& window,
+                                  std::size_t max_components,
+                                  std::span<util::ThreadPool* const> pools) {
+  StemmingOptions options = TinyGrainOptions();
+  options.max_components = max_components;
+  const StemmingResult expected = reference::ReferenceStem(window, options);
+  {
+    SCOPED_TRACE("serial Stem");
+    ExpectIdenticalResults(expected, Stem(window, options));
+  }
+  for (util::ThreadPool* pool : pools) {
+    SCOPED_TRACE("Stem on " + std::to_string(pool->threads()) + " threads");
+    StemmingOptions pooled = options;
+    pooled.pool = pool;
+    ExpectIdenticalResults(expected, Stem(window, pooled));
+  }
+  {
+    SCOPED_TRACE("WindowStemmer");
+    WindowStemmer stemmer(options);
+    stemmer.PushBack(expired);
+    stemmer.PushBack(window);
+    stemmer.PopFront(expired.size());
+    ExpectSameRawComponents(expected, stemmer.Extract());
+  }
+  // Integer weights (zero included) keep every count exact, so the
+  // weighted batch path must match the reference bit for bit too.
+  SCOPED_TRACE("weighted Stem");
+  options.weight_fn = [](const Prefix& p) {
+    return static_cast<double>((p.addr().value() >> 8) % 3);
+  };
+  ExpectIdenticalResults(reference::ReferenceStem(window, options),
+                         Stem(window, options));
+}
+
+class StemmingOracleTest : public ::testing::Test {
+ protected:
+  util::ThreadPool pool2_{2};
+  util::ThreadPool pool4_{4};
+  util::ThreadPool pool8_{8};
+  std::vector<util::ThreadPool*> pools_{&pool2_, &pool4_, &pool8_};
+};
+
+TEST_F(StemmingOracleTest, RandomSmallAlphabetWindowsMatchReference) {
+  std::mt19937_64 rng(20051);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<Event> expired = RandomSmallAlphabetWindow(rng);
+    const std::vector<Event> window = RandomSmallAlphabetWindow(rng);
+    const std::size_t max_components = 1 + rng() % 8;
+    ExpectWindowMatchesReference(expired, window, max_components, pools_);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+}
+
+TEST_F(StemmingOracleTest, BigramEndingItsClassMatchesReference) {
+  // (AS2, prefix 1) is the max-count bigram; every occurrence is the
+  // last pair of its class, so the walk starts from an empty
+  // continuation.
+  const std::vector<Event> window = {
+      SmallEvent(1, 1, {1, 2}, 1), SmallEvent(2, 2, {3, 2}, 1),
+      SmallEvent(1, 2, {4, 2}, 1), SmallEvent(2, 1, {1, 3}, 2)};
+  const StemmingResult result = Stem(window);
+  ASSERT_FALSE(result.components.empty());
+  EXPECT_EQ(result.components[0].top_sequence.size(), 2u);
+  ExpectWindowMatchesReference({}, window, 8, pools_);
+}
+
+TEST_F(StemmingOracleTest, OverlappingAsLoopsMatchReference) {
+  // 1 2 1 2 holds (1, 2) twice, overlapping its own continuation.
+  const std::vector<Event> window = {
+      SmallEvent(1, 1, {1, 2, 1, 2}, 1), SmallEvent(1, 1, {1, 2, 1, 2}, 2),
+      SmallEvent(1, 1, {1, 2, 1, 2, 3}, 3), SmallEvent(2, 1, {2, 1, 2}, 4),
+      SmallEvent(2, 2, {1, 2, 1}, 5)};
+  ExpectWindowMatchesReference({}, window, 8, pools_);
+}
+
+TEST_F(StemmingOracleTest, InteriorBigramWithLowerEntryIdMatchesReference) {
+  // (3, 4) is first seen in events of prefix 9, which either expire or
+  // fall with the first component (peer 3's chain, also on prefix 9).
+  // What remains of (3, 4) is interior to peer 1's chain
+  // peer-1 nexthop-1 AS2 AS3 AS4, with a lower entry id than its start.
+  const Event early = SmallEvent(2, 2, {3, 4}, 9);
+  const std::vector<Event> later = {
+      SmallEvent(3, 3, {7, 8}, 9), SmallEvent(3, 3, {7, 8}, 9),
+      SmallEvent(3, 3, {7, 8}, 9), SmallEvent(3, 3, {7, 8}, 9),
+      SmallEvent(3, 3, {7, 8}, 9), SmallEvent(3, 3, {7, 8}, 9),
+      SmallEvent(1, 1, {2, 3, 4}, 1), SmallEvent(1, 1, {2, 3, 4}, 2),
+      SmallEvent(1, 1, {2, 3, 4}, 3), SmallEvent(1, 2, {6}, 4)};
+  std::vector<Event> window = {early, early};
+  window.insert(window.end(), later.begin(), later.end());
+  const StemmingResult result = Stem(window);
+  ASSERT_EQ(result.components.size(), 2u);
+  EXPECT_EQ(result.components[1].top_sequence.size(), 5u);
+  ExpectWindowMatchesReference({}, window, 8, pools_);
+  ExpectWindowMatchesReference({early, early}, later, 8, pools_);
+}
+
+TEST_F(StemmingOracleTest, BigramAfterAChainStartsItsOwnChain) {
+  // AS10 1 2 is a chain (its occurrences then part ways); (2, 5), the
+  // bigram after it in its first occurrence, ties its count and starts
+  // the longer chain AS2 5 6 7.  Only interior bigrams may be skipped.
+  const std::vector<Event> window = {
+      SmallEvent(1, 1, {10, 1, 2, 5, 6, 7}, 1),
+      SmallEvent(2, 2, {10, 1, 2, 8}, 2),
+      SmallEvent(3, 3, {10, 1, 2, 9}, 3),
+      SmallEvent(4, 4, {10, 1, 2, 4}, 4),
+      SmallEvent(5, 5, {3, 2, 5, 6, 7}, 5),
+      SmallEvent(6, 6, {4, 2, 5, 6, 7}, 6),
+      SmallEvent(7, 7, {8, 2, 5, 6, 7}, 7)};
+  const StemmingResult result = Stem(window);
+  ASSERT_FALSE(result.components.empty());
+  EXPECT_EQ(result.SequenceLabel(result.components[0]), "AS2 AS5 AS6 AS7");
+  ExpectWindowMatchesReference({}, window, 8, pools_);
+}
+
+TEST_F(StemmingOracleTest, TiedLongestChainsPickSmallestRawValues) {
+  // Two disjoint chains of the same count and length.  Peer 2's chain is
+  // seen first (lower ids) but peer 1's has the smaller raw values.
+  const std::vector<Event> window = {
+      SmallEvent(2, 2, {4, 3}, 1), SmallEvent(2, 2, {4, 3}, 2),
+      SmallEvent(2, 2, {4, 3}, 3), SmallEvent(1, 1, {1, 2}, 4),
+      SmallEvent(1, 1, {1, 2}, 5), SmallEvent(1, 1, {1, 2}, 6)};
+  const StemmingResult result = Stem(window);
+  ASSERT_EQ(result.components.size(), 2u);
+  EXPECT_EQ(result.symbols.Name(result.components[0].top_sequence[0]),
+            "peer 10.0.0.1");
+  EXPECT_EQ(result.components[0].top_sequence.size(), 4u);
+  ExpectWindowMatchesReference({}, window, 8, pools_);
 }
 
 }  // namespace
